@@ -846,141 +846,6 @@ impl CmapMac {
         }
     }
 
-    // ---- cmap-ckpt/v2 ----------------------------------------------------
-
-    /// Parse a [`Mac::save_state`] blob into this (identically-configured)
-    /// instance; typed-error core of [`Mac::load_state`].
-    fn load_ckpt(&mut self, bytes: &[u8]) -> Result<(), cmap_sim::CkptError> {
-        use crate::ckpt_util::{get_addr, get_rate};
-        use crate::vpkt::{PeerRx, SendWindow};
-        use cmap_sim::ckpt::{CkptError, CkptReader};
-        let mut r = CkptReader::new(bytes)?;
-        self.state = match r.u8()? {
-            0 => SState::Idle,
-            1 => SState::Deferring,
-            2 => SState::TxVpkt,
-            3 => SState::AckWait,
-            4 => SState::Backoff,
-            5 => SState::RtxWait,
-            other => return Err(CkptError::Malformed(format!("sender state tag {other}"))),
-        };
-        self.cur = if r.bool()? {
-            let dst = get_addr(&mut r)?;
-            let seq = r.u32()?;
-            let mut pkts = Vec::new();
-            for _ in 0..r.len()? {
-                pkts.push(DataPkt {
-                    flow: r.u16()?,
-                    flow_seq: r.u32()?,
-                    payload_len: r.len()?,
-                });
-            }
-            let is_rtx = r.bool()?;
-            let rate = get_rate(&mut r)?;
-            let rounds = r.u32()?;
-            Some(CurVpkt {
-                dst,
-                seq,
-                pkts,
-                is_rtx,
-                rate,
-                rounds,
-            })
-        } else {
-            None
-        };
-        self.window = SendWindow::ckpt_load(&mut r)?;
-        self.defer = DeferTable::ckpt_load(&mut r)?;
-        self.ongoing = OngoingList::ckpt_load(&mut r)?;
-        self.tracker = InterfererTracker::ckpt_load(&mut r)?;
-        self.peers.clear();
-        for _ in 0..r.len()? {
-            let addr = get_addr(&mut r)?;
-            let rx = PeerRx::ckpt_load(&mut r)?;
-            let last_heard = r.u64()?;
-            if self
-                .peers
-                .insert(addr, PeerState { rx, last_heard })
-                .is_some()
-            {
-                return Err(CkptError::Malformed(format!("duplicate peer {addr}")));
-            }
-        }
-        self.cw = r.u64()?;
-        self.sender_gen = r.u64()?;
-        self.rx_gen = r.u64()?;
-        self.bcast_gen = r.u64()?;
-        self.consecutive_ack_timeouts = r.u32()?;
-        self.last_map_refresh = r.u64()?;
-        self.pending_acks.clear();
-        for _ in 0..r.len()? {
-            let src = get_addr(&mut r)?;
-            let dst = get_addr(&mut r)?;
-            let base_vpkt_seq = r.u32()?;
-            let mut bitmaps = Vec::new();
-            for _ in 0..r.len()? {
-                bitmaps.push(r.u32()?);
-            }
-            let loss_rate = r.u8()?;
-            let mut il_entries = Vec::new();
-            for _ in 0..r.len()? {
-                il_entries.push(cmap::InterfererEntry {
-                    source: get_addr(&mut r)?,
-                    interferer: get_addr(&mut r)?,
-                    source_rate: get_rate(&mut r)?,
-                });
-            }
-            if bitmaps.len() > cmap::MAX_ACK_WINDOW {
-                return Err(CkptError::Malformed(format!(
-                    "pending-ack bitmap count {}",
-                    bitmaps.len()
-                )));
-            }
-            if il_entries.len() > cmap::Ack::MAX_IL_ENTRIES {
-                return Err(CkptError::Malformed(format!(
-                    "pending-ack IL count {}",
-                    il_entries.len()
-                )));
-            }
-            let mut ack = PendingAck {
-                src,
-                dst,
-                base_vpkt_seq,
-                bitmap_count: bitmaps.len() as u8,
-                bitmaps: [0u32; cmap::MAX_ACK_WINDOW],
-                loss_rate,
-                il_count: il_entries.len() as u8,
-                il_entries: [NULL_ENTRY; cmap::Ack::MAX_IL_ENTRIES],
-            };
-            ack.bitmaps[..bitmaps.len()].copy_from_slice(&bitmaps);
-            ack.il_entries[..il_entries.len()].copy_from_slice(&il_entries);
-            self.pending_acks.push_back(ack);
-        }
-        self.pending_finalize.clear();
-        for _ in 0..r.len()? {
-            let src = get_addr(&mut r)?;
-            let seq = r.u32()?;
-            let count = r.u8()?;
-            let rate = get_rate(&mut r)?;
-            let t0 = r.u64()?;
-            self.pending_finalize.push_back((src, seq, count, rate, t0));
-        }
-        self.in_flight = match r.u8()? {
-            0 => None,
-            1 => Some(InFlight::Header),
-            2 => Some(InFlight::Data { idx: r.len()? }),
-            3 => Some(InFlight::Trailer),
-            4 => Some(InFlight::Ack),
-            5 => Some(InFlight::Broadcast),
-            other => return Err(CkptError::Malformed(format!("in-flight tag {other}"))),
-        };
-        let rc_blob = r.bytes()?;
-        self.rate_ctl
-            .load_state(rc_blob)
-            .map_err(CkptError::Mismatch)?;
-        r.expect_end()
-    }
-
     fn broadcast_tick(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
         self.tracker.decay();
@@ -1230,96 +1095,6 @@ impl Mac for CmapMac {
 
     fn as_any(&self) -> &dyn std::any::Any {
         self
-    }
-
-    fn save_state(&self, out: &mut Vec<u8>) {
-        use crate::ckpt_util::{put_addr, put_rate};
-        let mut w = cmap_sim::ckpt::CkptWriter::new();
-        w.u8(match self.state {
-            SState::Idle => 0,
-            SState::Deferring => 1,
-            SState::TxVpkt => 2,
-            SState::AckWait => 3,
-            SState::Backoff => 4,
-            SState::RtxWait => 5,
-        });
-        match &self.cur {
-            None => w.bool(false),
-            Some(cur) => {
-                w.bool(true);
-                put_addr(&mut w, cur.dst);
-                w.u32(cur.seq);
-                w.len(cur.pkts.len());
-                for p in &cur.pkts {
-                    w.u16(p.flow);
-                    w.u32(p.flow_seq);
-                    w.len(p.payload_len);
-                }
-                w.bool(cur.is_rtx);
-                put_rate(&mut w, cur.rate);
-                w.u32(cur.rounds);
-            }
-        }
-        self.window.ckpt_save(&mut w);
-        self.defer.ckpt_save(&mut w);
-        self.ongoing.ckpt_save(&mut w);
-        self.tracker.ckpt_save(&mut w);
-        w.len(self.peers.len());
-        for (&addr, peer) in &self.peers {
-            put_addr(&mut w, addr);
-            peer.rx.ckpt_save(&mut w);
-            w.u64(peer.last_heard);
-        }
-        w.u64(self.cw);
-        w.u64(self.sender_gen);
-        w.u64(self.rx_gen);
-        w.u64(self.bcast_gen);
-        w.u32(self.consecutive_ack_timeouts);
-        w.u64(self.last_map_refresh);
-        w.len(self.pending_acks.len());
-        for a in &self.pending_acks {
-            put_addr(&mut w, a.src);
-            put_addr(&mut w, a.dst);
-            w.u32(a.base_vpkt_seq);
-            w.len(a.bitmap_count as usize);
-            for &bm in &a.bitmaps[..a.bitmap_count as usize] {
-                w.u32(bm);
-            }
-            w.u8(a.loss_rate);
-            w.len(a.il_count as usize);
-            for e in &a.il_entries[..a.il_count as usize] {
-                put_addr(&mut w, e.source);
-                put_addr(&mut w, e.interferer);
-                put_rate(&mut w, e.source_rate);
-            }
-        }
-        w.len(self.pending_finalize.len());
-        for &(src, seq, count, rate, t0) in &self.pending_finalize {
-            put_addr(&mut w, src);
-            w.u32(seq);
-            w.u8(count);
-            put_rate(&mut w, rate);
-            w.u64(t0);
-        }
-        match self.in_flight {
-            None => w.u8(0),
-            Some(InFlight::Header) => w.u8(1),
-            Some(InFlight::Data { idx }) => {
-                w.u8(2);
-                w.len(idx);
-            }
-            Some(InFlight::Trailer) => w.u8(3),
-            Some(InFlight::Ack) => w.u8(4),
-            Some(InFlight::Broadcast) => w.u8(5),
-        }
-        let mut rc = Vec::new();
-        self.rate_ctl.save_state(&mut rc);
-        w.bytes(&rc);
-        out.extend_from_slice(&w.finish());
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.load_ckpt(bytes).map_err(|e| e.to_string())
     }
 }
 

@@ -38,24 +38,6 @@ pub trait RateController: Send {
     /// sent to `dst` at `rate`, `acked` were eventually acknowledged and
     /// `lost` were given up on (repacked for retransmission).
     fn feedback(&mut self, dst: MacAddr, rate: Rate, acked: usize, lost: usize, now: Time);
-
-    /// Append dynamic adaptation state to a `cmap-ckpt/v2` checkpoint blob.
-    /// The default writes nothing, which is correct for stateless policies
-    /// such as [`FixedRate`].
-    fn save_state(&self, _out: &mut Vec<u8>) {}
-
-    /// Restore [`RateController::save_state`] bytes into a freshly-created
-    /// instance of the same policy. The default accepts only an empty blob.
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        if bytes.is_empty() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} bytes of rate-controller state for a stateless policy",
-                bytes.len()
-            ))
-        }
-    }
 }
 
 /// Always the configured rate (the paper's evaluation setting).
@@ -187,45 +169,6 @@ impl RateController for ThroughputRate {
             cell.delivery = (1.0 - self.alpha) * cell.delivery + self.alpha * observed;
         }
         cell.samples += 1;
-    }
-
-    fn save_state(&self, out: &mut Vec<u8>) {
-        use crate::ckpt_util::{put_addr, put_rate};
-        let mut w = cmap_sim::ckpt::CkptWriter::new();
-        w.len(self.cells.len());
-        for (&(dst, rate), cell) in &self.cells {
-            put_addr(&mut w, dst);
-            put_rate(&mut w, rate);
-            w.f64(cell.delivery);
-            w.u64(cell.samples);
-        }
-        out.extend_from_slice(&w.finish());
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        use crate::ckpt_util::{get_addr, get_rate};
-        let load = |bytes: &[u8]| -> Result<BTreeMap<(MacAddr, Rate), Cell>, cmap_sim::CkptError> {
-            let mut r = cmap_sim::ckpt::CkptReader::new(bytes)?;
-            let mut cells = BTreeMap::new();
-            for _ in 0..r.len()? {
-                let dst = get_addr(&mut r)?;
-                let rate = get_rate(&mut r)?;
-                let delivery = r.f64()?;
-                let samples = r.u64()?;
-                if cells
-                    .insert((dst, rate), Cell { delivery, samples })
-                    .is_some()
-                {
-                    return Err(cmap_sim::CkptError::Malformed(format!(
-                        "duplicate rate cell {dst}"
-                    )));
-                }
-            }
-            r.expect_end()?;
-            Ok(cells)
-        };
-        self.cells = load(bytes).map_err(|e| e.to_string())?;
-        Ok(())
     }
 }
 

@@ -279,72 +279,6 @@ impl DcfMac {
         self.finish_packet(ctx);
     }
 
-    // ---- cmap-ckpt/v2 ----------------------------------------------------
-
-    /// Parse a [`Mac::save_state`] blob into this (identically-configured)
-    /// instance; typed-error core of [`Mac::load_state`].
-    fn load_ckpt(&mut self, bytes: &[u8]) -> Result<(), cmap_sim::CkptError> {
-        use cmap_sim::ckpt::{CkptError, CkptReader};
-        let get_addr = |r: &mut CkptReader<'_>| -> Result<MacAddr, CkptError> {
-            let mut b = [0u8; MacAddr::LEN];
-            for byte in &mut b {
-                *byte = r.u8()?;
-            }
-            Ok(MacAddr(b))
-        };
-        let mut r = CkptReader::new(bytes)?;
-        self.state = match r.u8()? {
-            0 => TxState::Idle,
-            1 => TxState::WaitMedium,
-            2 => TxState::WaitDifs,
-            3 => TxState::Backoff { started: r.u64()? },
-            4 => TxState::Transmitting,
-            5 => TxState::WaitAck,
-            other => return Err(CkptError::Malformed(format!("tx state tag {other}"))),
-        };
-        self.cur = if r.bool()? {
-            let flow = r.u16()?;
-            let flow_seq = r.u32()?;
-            let dst = cmap_sim::NodeId::new(r.len()?);
-            let dst_mac = get_addr(&mut r)?;
-            let payload_len = r.len()?;
-            let seq = r.u16()?;
-            let retries = r.u32()?;
-            Some(CurPacket {
-                pkt: AppPacket {
-                    flow,
-                    flow_seq,
-                    dst,
-                    dst_mac,
-                    payload_len,
-                },
-                seq,
-                retries,
-            })
-        } else {
-            None
-        };
-        self.cw = r.u32()?;
-        self.backoff_slots = r.u32()?;
-        self.next_seq = r.u16()?;
-        self.nav_until = r.u64()?;
-        self.eifs_until = r.u64()?;
-        self.sender_gen = r.u64()?;
-        self.rx_gen = r.u64()?;
-        self.pending_ack_to = if r.bool()? {
-            Some(get_addr(&mut r)?)
-        } else {
-            None
-        };
-        self.in_flight = match r.u8()? {
-            0 => None,
-            1 => Some(InFlight::Data),
-            2 => Some(InFlight::Ack),
-            other => return Err(CkptError::Malformed(format!("in-flight tag {other}"))),
-        };
-        r.expect_end()
-    }
-
     fn update_nav(&mut self, ctx: &mut NodeCtx<'_>, frame_end: Time, duration_ns: u32) {
         if !self.cfg.carrier_sense || duration_ns == 0 {
             return;
@@ -506,63 +440,6 @@ impl Mac for DcfMac {
 
     fn as_any(&self) -> &dyn std::any::Any {
         self
-    }
-
-    fn save_state(&self, out: &mut Vec<u8>) {
-        let mut w = cmap_sim::ckpt::CkptWriter::new();
-        let put_addr = |w: &mut cmap_sim::ckpt::CkptWriter, a: MacAddr| {
-            for b in a.0 {
-                w.u8(b);
-            }
-        };
-        match self.state {
-            TxState::Idle => w.u8(0),
-            TxState::WaitMedium => w.u8(1),
-            TxState::WaitDifs => w.u8(2),
-            TxState::Backoff { started } => {
-                w.u8(3);
-                w.u64(started);
-            }
-            TxState::Transmitting => w.u8(4),
-            TxState::WaitAck => w.u8(5),
-        }
-        match &self.cur {
-            None => w.bool(false),
-            Some(cur) => {
-                w.bool(true);
-                w.u16(cur.pkt.flow);
-                w.u32(cur.pkt.flow_seq);
-                w.len(cur.pkt.dst.index());
-                put_addr(&mut w, cur.pkt.dst_mac);
-                w.len(cur.pkt.payload_len);
-                w.u16(cur.seq);
-                w.u32(cur.retries);
-            }
-        }
-        w.u32(self.cw);
-        w.u32(self.backoff_slots);
-        w.u16(self.next_seq);
-        w.u64(self.nav_until);
-        w.u64(self.eifs_until);
-        w.u64(self.sender_gen);
-        w.u64(self.rx_gen);
-        match self.pending_ack_to {
-            None => w.bool(false),
-            Some(a) => {
-                w.bool(true);
-                put_addr(&mut w, a);
-            }
-        }
-        match self.in_flight {
-            None => w.u8(0),
-            Some(InFlight::Data) => w.u8(1),
-            Some(InFlight::Ack) => w.u8(2),
-        }
-        out.extend_from_slice(&w.finish());
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.load_ckpt(bytes).map_err(|e| e.to_string())
     }
 }
 

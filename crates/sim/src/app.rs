@@ -8,7 +8,6 @@
 
 use std::collections::VecDeque;
 
-use crate::ckpt::{CkptError, CkptReader, CkptWriter};
 use crate::world::{Flow, FlowKind, NodeId};
 use cmap_wire::MacAddr;
 
@@ -131,69 +130,6 @@ impl NodeApp {
             }
         }
         None
-    }
-
-    // ---- cmap-ckpt/v2 ---------------------------------------------------
-
-    /// Serialize the dynamic state: relay queue contents and the
-    /// round-robin cursor. The flow membership itself is configuration,
-    /// re-declared on the world before restore, and only validated here.
-    pub(crate) fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.len(self.source_flows.len());
-        for &f in &self.source_flows {
-            w.u16(f);
-        }
-        w.len(self.relay_queues.len());
-        for (flow, q) in &self.relay_queues {
-            w.u16(*flow);
-            w.len(q.len());
-            for &seq in q {
-                w.u32(seq);
-            }
-        }
-        w.len(self.rr);
-    }
-
-    /// Overlay checkpointed queues/cursor onto an identically-configured
-    /// node app.
-    pub(crate) fn ckpt_load(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let sources = r.len()?;
-        if sources != self.source_flows.len() {
-            return Err(CkptError::Mismatch(format!(
-                "checkpoint node sources {sources} != configured {}",
-                self.source_flows.len()
-            )));
-        }
-        for &expect in &self.source_flows {
-            let got = r.u16()?;
-            if got != expect {
-                return Err(CkptError::Mismatch(format!(
-                    "checkpoint source flow {got} != configured {expect}"
-                )));
-            }
-        }
-        let relays = r.len()?;
-        if relays != self.relay_queues.len() {
-            return Err(CkptError::Mismatch(format!(
-                "checkpoint relay queues {relays} != configured {}",
-                self.relay_queues.len()
-            )));
-        }
-        for (flow, q) in &mut self.relay_queues {
-            let got = r.u16()?;
-            if got != *flow {
-                return Err(CkptError::Mismatch(format!(
-                    "checkpoint relay flow {got} != configured {flow}"
-                )));
-            }
-            q.clear();
-            let pending = r.len()?;
-            for _ in 0..pending {
-                q.push_back(r.u32()?);
-            }
-        }
-        self.rr = r.len()?;
-        Ok(())
     }
 }
 

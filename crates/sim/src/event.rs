@@ -21,7 +21,6 @@
 //! buffer, so the pop order is *identical* to the heap's — property-tested
 //! against a reference heap in `tests/engine_props.rs`.
 
-use crate::ckpt::{CkptError, CkptReader, CkptWriter};
 use crate::time::Time;
 use crate::world::NodeId;
 
@@ -34,8 +33,10 @@ pub type TxId = u64;
 pub enum Event {
     /// A node's own transmission finished.
     TxEnd { node: NodeId, tx_id: TxId },
-    /// The first energy of transmission `tx_id` reaches node `rx`.
-    FrameStart { rx: NodeId, tx_id: TxId },
+    /// The first energy of transmission `tx_id` reaches the receiver of
+    /// medium link `link` (an index into the medium's CSR link arrays, so
+    /// the receiver and its received power are two array reads).
+    FrameStart { link: u32, tx_id: TxId },
     /// The last energy of transmission `tx_id` leaves node `rx`.
     FrameEnd { rx: NodeId, tx_id: TxId },
     /// A MAC-requested timer at `node` fires with an opaque token.
@@ -47,6 +48,10 @@ pub enum Event {
     /// is installed, so clean runs see an unchanged event stream.
     Audit,
 }
+
+// The link index rides *in place of* the receiver: an event stays two
+// words, however the medium is indexed.
+const _: () = assert!(std::mem::size_of::<Event>() == 16);
 
 impl Event {
     /// Number of event kinds (dense index space for dispatch counters).
@@ -342,159 +347,6 @@ impl Scheduler {
     }
 }
 
-// ---- cmap-ckpt/v2 -------------------------------------------------------
-
-impl Event {
-    /// Encode this event for a checkpoint (tag byte = [`Event::kind_idx`]).
-    pub(crate) fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.u8(self.kind_idx() as u8);
-        match *self {
-            Event::TxEnd { node, tx_id } => {
-                w.len(node.index());
-                w.u64(tx_id);
-            }
-            Event::FrameStart { rx, tx_id } | Event::FrameEnd { rx, tx_id } => {
-                w.len(rx.index());
-                w.u64(tx_id);
-            }
-            Event::Timer { node, token } => {
-                w.len(node.index());
-                w.u64(token);
-            }
-            Event::Fault { idx } => w.u32(idx),
-            Event::Audit => {}
-        }
-    }
-
-    /// Decode one checkpointed event.
-    pub(crate) fn ckpt_load(r: &mut CkptReader<'_>) -> Result<Event, CkptError> {
-        Ok(match r.u8()? {
-            0 => Event::TxEnd {
-                node: NodeId::new(r.len()?),
-                tx_id: r.u64()?,
-            },
-            1 => Event::FrameStart {
-                rx: NodeId::new(r.len()?),
-                tx_id: r.u64()?,
-            },
-            2 => Event::FrameEnd {
-                rx: NodeId::new(r.len()?),
-                tx_id: r.u64()?,
-            },
-            3 => Event::Timer {
-                node: NodeId::new(r.len()?),
-                token: r.u64()?,
-            },
-            4 => Event::Fault { idx: r.u32()? },
-            5 => Event::Audit,
-            other => return Err(CkptError::Malformed(format!("event tag {other}"))),
-        })
-    }
-}
-
-impl Scheduled {
-    fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.u64(self.at);
-        w.u64(self.seq);
-        self.event.ckpt_save(w);
-    }
-
-    fn ckpt_load(r: &mut CkptReader<'_>) -> Result<Scheduled, CkptError> {
-        Ok(Scheduled {
-            at: r.u64()?,
-            seq: r.u64()?,
-            event: Event::ckpt_load(r)?,
-        })
-    }
-}
-
-impl Scheduler {
-    /// Serialize the full wheel state: position, the pending tail of the
-    /// drain buffer, every non-empty bucket, and the deterministic
-    /// counters. The consumed prefix of the drain buffer (`..cur_pos`) is
-    /// deliberately dropped — those events already dispatched.
-    pub(crate) fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.u64(self.now_tick);
-        let tail = &self.cur[self.cur_pos..];
-        w.len(tail.len());
-        for s in tail {
-            s.ckpt_save(w);
-        }
-        let filled: Vec<usize> = (0..self.buckets.len())
-            .filter(|&i| !self.buckets[i].is_empty())
-            .collect();
-        w.len(filled.len());
-        for idx in filled {
-            w.len(idx);
-            w.len(self.buckets[idx].len());
-            for s in &self.buckets[idx] {
-                s.ckpt_save(w);
-            }
-        }
-        w.len(self.len);
-        w.u64(self.next_seq);
-        w.u64(self.processed);
-        for &k in &self.processed_by_kind {
-            w.u64(k);
-        }
-        w.u64(self.stats.cascades);
-        w.u64(self.stats.max_occupancy);
-    }
-
-    /// Rebuild a scheduler from [`Scheduler::ckpt_save`] output. Occupancy
-    /// bitmaps are reconstructed from the restored buckets; the drain
-    /// buffer restarts at position 0 with the saved pending tail.
-    pub(crate) fn ckpt_load(r: &mut CkptReader<'_>) -> Result<Scheduler, CkptError> {
-        let mut s = Scheduler::new();
-        s.now_tick = r.u64()?;
-        let tail_n = r.len()?;
-        s.cur.reserve(tail_n);
-        for _ in 0..tail_n {
-            s.cur.push(Scheduled::ckpt_load(r)?);
-        }
-        s.cur_pos = 0;
-        let mut pending = s.cur.len();
-        let filled_n = r.len()?;
-        for _ in 0..filled_n {
-            let idx = r.len()?;
-            if idx >= LEVELS * SLOTS {
-                return Err(CkptError::Malformed(format!("bucket index {idx}")));
-            }
-            let n = r.len()?;
-            if n == 0 {
-                return Err(CkptError::Malformed("empty checkpointed bucket".into()));
-            }
-            s.buckets[idx].reserve(n);
-            for _ in 0..n {
-                s.buckets[idx].push(Scheduled::ckpt_load(r)?);
-            }
-            pending += n;
-            let (level, slot) = (idx / SLOTS, idx % SLOTS);
-            s.occupied[level][slot / 64] |= 1 << (slot % 64);
-        }
-        s.len = r.len()?;
-        if s.len != pending {
-            return Err(CkptError::Malformed(format!(
-                "pending count {} != serialized events {pending}",
-                s.len
-            )));
-        }
-        s.next_seq = r.u64()?;
-        s.processed = r.u64()?;
-        for k in &mut s.processed_by_kind {
-            *k = r.u64()?;
-        }
-        s.stats.cascades = r.u64()?;
-        s.stats.max_occupancy = r.u64()?;
-        // Re-establish the peek invariant (cur non-empty whenever events
-        // are pending); a no-op for checkpoints taken between dispatches.
-        if s.cur.is_empty() && s.len > 0 && !s.advance() {
-            return Err(CkptError::Malformed("pending events unreachable".into()));
-        }
-        Ok(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -658,55 +510,6 @@ mod tests {
             "far-horizon events must traverse the ring hierarchy"
         );
         assert_eq!(s.stats().max_occupancy, times.len() as u64);
-    }
-
-    #[test]
-    fn checkpoint_round_trip_mid_drain_is_exact() {
-        // Fill every ring, pop a prefix (so the drain buffer is mid-slice
-        // and `processed` is nonzero), checkpoint, restore, and require
-        // the restored wheel to pop the identical remainder with
-        // identical counters.
-        let mut s = Scheduler::new();
-        let times: Vec<u64> = (0..40)
-            .map(|i| 1u64 << (i + 10))
-            .chain([0, 1, 2, 5, 5, 5, u64::MAX >> 1])
-            .collect();
-        for (i, &t) in times.iter().enumerate() {
-            s.schedule(t, timer(i % 3, i as u64));
-        }
-        for _ in 0..7 {
-            s.pop();
-        }
-
-        let mut w = CkptWriter::new();
-        s.ckpt_save(&mut w);
-        let bytes = w.finish();
-        let mut r = CkptReader::new(&bytes).unwrap();
-        let mut restored = Scheduler::ckpt_load(&mut r).unwrap();
-        r.expect_end().unwrap();
-
-        assert_eq!(restored.len(), s.len());
-        assert_eq!(restored.processed(), s.processed());
-        assert_eq!(restored.processed_by_kind(), s.processed_by_kind());
-        assert_eq!(restored.stats(), s.stats());
-        let mut injected = false;
-        loop {
-            let (a, b) = (s.pop(), restored.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-            // Late scheduling after restore must also agree (one-shot: the
-            // injected event itself pops, so a `len`-triggered re-injection
-            // would ping-pong forever).
-            if !injected && s.len() == 20 {
-                injected = true;
-                let t = a.unwrap().0 + 3;
-                s.schedule(t, Event::Audit);
-                restored.schedule(t, Event::Audit);
-            }
-        }
-        assert_eq!(s.stats(), restored.stats());
     }
 
     #[test]

@@ -38,7 +38,6 @@ use std::collections::BTreeMap;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::ckpt::{CkptError, CkptReader, CkptWriter};
 use crate::node::NodeId;
 use crate::rng::{normal, stream_rng};
 use crate::time::Time;
@@ -477,80 +476,6 @@ impl FaultState {
         let extra = (i128::from(delay) * i128::from(ppm)) / 1_000_000;
         (i128::from(delay) + extra).max(0) as Time
     }
-
-    // ---- cmap-ckpt/v2 ---------------------------------------------------
-
-    /// Serialize the dynamic cursors: everything [`FaultState::new`] cannot
-    /// rebuild from the plan alone (liveness flags, the corruption stream's
-    /// position, lazily-created GE chains, dispatch watermarks). The static
-    /// derivation (salt, action schedule, skew table) is re-derived on
-    /// restore from the same plan and seed.
-    pub(crate) fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.len(self.node_up.len());
-        for &up in &self.node_up {
-            w.bool(up);
-        }
-        for word in self.corrupt_rng.state() {
-            w.u64(word);
-        }
-        w.len(self.ge_chains.len());
-        for (&(a, b), chain) in &self.ge_chains {
-            w.len(a.index());
-            w.len(b.index());
-            for word in chain.rng.state() {
-                w.u64(word);
-            }
-            w.u64(chain.step);
-            w.bool(chain.bad);
-        }
-        for &t in &self.last_dispatch {
-            w.u64(t);
-        }
-    }
-
-    /// Overlay checkpointed cursors onto a state freshly built (same plan,
-    /// seed and node count) by [`FaultState::new`].
-    pub(crate) fn ckpt_load(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let n = r.len()?;
-        if n != self.node_up.len() {
-            return Err(CkptError::Mismatch(format!(
-                "checkpoint fault state covers {n} nodes, world has {}",
-                self.node_up.len()
-            )));
-        }
-        for up in &mut self.node_up {
-            *up = r.bool()?;
-        }
-        let mut words = [0u64; 4];
-        for word in &mut words {
-            *word = r.u64()?;
-        }
-        self.corrupt_rng = SmallRng::from_state(words);
-        self.ge_chains.clear();
-        let chains = r.len()?;
-        for _ in 0..chains {
-            let a = NodeId::new(r.len()?);
-            let b = NodeId::new(r.len()?);
-            let mut words = [0u64; 4];
-            for word in &mut words {
-                *word = r.u64()?;
-            }
-            let chain = GeChain {
-                rng: SmallRng::from_state(words),
-                step: r.u64()?,
-                bad: r.bool()?,
-            };
-            if self.ge_chains.insert((a, b), chain).is_some() {
-                return Err(CkptError::Malformed(format!(
-                    "duplicate GE chain for link ({a},{b})"
-                )));
-            }
-        }
-        for t in &mut self.last_dispatch {
-            *t = r.u64()?;
-        }
-        Ok(())
-    }
 }
 
 /// Invariant watchdog configuration: how often to audit and how long a MAC
@@ -661,9 +586,9 @@ mod tests {
         assert_eq!(fs.skew_delay(nid(2), d), d); // no skew configured
     }
 
-    /// Satellite of the crash-safety PR: `to_spec`/`from_spec` must be
-    /// lossless for *any* representable plan, not just the canonical trio —
-    /// checkpoint validation compares specs byte-for-byte.
+    /// `to_spec`/`from_spec` must be lossless for *any* representable
+    /// plan, not just the canonical trio — a printed spec reproduces the
+    /// failing run it came from.
     mod spec_props {
         use super::*;
         use proptest::prelude::*;

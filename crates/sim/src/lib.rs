@@ -4,10 +4,10 @@
 //! deterministic discrete-event engine with
 //!
 //! * a nanosecond event queue with stable tie-breaking ([`event`]),
-//! * a shared [`Medium`] of frozen link gains and propagation delays
-//!   behind the [`Propagation`] trait — dense matrix for testbed-scale
-//!   topologies, sparse spatially-indexed storage for city scale
-//!   ([`MediumBuilder`]),
+//! * a shared [`Medium`] of frozen link gains and propagation delays,
+//!   stored as epsilon-pruned CSR link rows per transmitter (exact at
+//!   `epsilon = 0`) and built from a gain matrix or from positions
+//!   through a grid index ([`MediumBuilder`]),
 //! * a half-duplex [`radio`] per node with preamble locking, preamble
 //!   capture, SINR-segmented reception grading and 802.11-style CCA,
 //! * a [`Mac`] trait that link layers (`cmap-core`, `cmap-mac80211`)
@@ -20,10 +20,7 @@
 //!   Gilbert–Elliott burst loss, stepped shadowing, clock skew and frame
 //!   corruption, plus a runtime invariant watchdog, and
 //! * process-wide engine totals ([`perf`]) feeding the benchmark perf
-//!   baseline (events/sec, BER-cache hit rate) across parallel runs, and
-//! * mid-run checkpoint/restore ([`ckpt`], [`World::checkpoint`],
-//!   [`World::restore`]) in the versioned `cmap-ckpt/v2` format: a
-//!   restored run continues byte-identically to an uninterrupted one.
+//!   baseline (events/sec, BER-cache hit rate) across parallel runs.
 //!
 //! Runs are bit-deterministic for a given (topology, MACs, seed): every
 //! random draw derives from the master seed via per-node streams.
@@ -43,7 +40,6 @@
 //! ```
 
 pub mod app;
-pub mod ckpt;
 pub mod config;
 pub mod event;
 pub mod faults;
@@ -59,12 +55,11 @@ pub mod time;
 pub mod world;
 
 pub use app::AppPacket;
-pub use ckpt::{CkptError, CKPT_MAGIC};
 pub use cmap_obs::{CounterId, GaugeId, TraceEvent, TraceSink};
 pub use config::PhyConfig;
 pub use faults::{FaultPlan, GilbertElliott, Lockup, Outage, Shadowing, WatchdogConfig};
 pub use mac::{Mac, NodeCtx, NullMac, RxErrorInfo, RxInfo};
-pub use medium::{DenseMedium, Medium, MediumBuilder, Propagation, SparseMedium, SparseStats};
+pub use medium::{Medium, MediumBuilder, SparseStats};
 pub use radio::RadioPhase;
 pub use stats::Stats;
 pub use time::Time;

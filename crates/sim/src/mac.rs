@@ -88,28 +88,6 @@ pub trait Mac {
 
     /// Introspection hook for tests and experiment harnesses.
     fn as_any(&self) -> &dyn std::any::Any;
-
-    /// Append this MAC's dynamic protocol state to a `cmap-ckpt/v2`
-    /// checkpoint blob. Paired with [`Mac::load_state`]; the world frames
-    /// the blob, so implementations just write fields in a fixed order.
-    /// The default writes nothing, which is correct for stateless MACs
-    /// (e.g. [`NullMac`]).
-    fn save_state(&self, _out: &mut Vec<u8>) {}
-
-    /// Restore the state written by [`Mac::save_state`] into a
-    /// freshly-configured instance of the same MAC. The default accepts
-    /// only an empty blob — a non-empty blob reaching a stateless MAC
-    /// means the checkpoint was taken with a different protocol stack.
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        if bytes.is_empty() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} bytes of MAC state for a MAC that saves none",
-                bytes.len()
-            ))
-        }
-    }
 }
 
 /// A MAC that never transmits; installed at nodes that only overhear.

@@ -1,238 +1,48 @@
 //! The shared wireless medium: who hears whom, and how loudly.
 //!
-//! The medium layer is built around the sealed [`Propagation`] trait —
-//! gain, delay, reachability and spatial neighborhood queries — with two
-//! engines behind the [`Medium`] enum:
+//! A [`Medium`] holds frozen large-scale link state (path loss +
+//! shadowing, computed by `cmap-topo` or built directly in tests) as CSR
+//! rows: for every transmitter, one contiguous run of links, each a
+//! receiver, a linear power gain and a propagation delay. Only links whose
+//! received power clears the delivery floor *plus a configurable epsilon
+//! margin* are stored, and they are the only receivers that get frame
+//! events. Memory and event fan-out therefore scale with the link count,
+//! which is what makes 10k–100k-node deployments tractable.
 //!
-//! * [`DenseMedium`] — the original `n × n` matrix of frozen large-scale
-//!   channel gains (path loss + shadowing, computed by `cmap-topo` or
-//!   built directly in tests) plus per-link propagation delays. Exact,
-//!   O(n²) memory; the regression baseline at testbed scale (≤ 50
-//!   nodes), byte-identical to the pre-redesign engine.
-//! * [`SparseMedium`] — CSR link lists over a uniform-grid spatial
-//!   index. Links whose received power falls below the delivery floor
-//!   *plus a configurable epsilon margin* are pruned at build time, and
-//!   the worst-case interference power dropped at any receiver is
-//!   recorded as an error bound ([`SparseStats`]) so run artifacts can
-//!   state exactly how much physics the pruning discarded. Memory and
-//!   event fan-out scale with the *link* count, which is what makes
-//!   10k–100k-node deployments tractable.
+//! The pruning contract is stated against the input: at `epsilon_db = 0`
+//! the stored links are exactly the input pairs whose received power
+//! reaches the delivery floor, with gains and delays bit-identical to the
+//! input matrix. With a positive epsilon, links in `[floor, floor + ε)`
+//! are dropped, and the worst-case interference power dropped at any
+//! receiver is recorded as an error bound ([`SparseStats`]) so run
+//! artifacts state exactly how much physics the pruning discarded.
 //!
-//! Both engines pre-compute, for every transmitter, the list of nodes
-//! whose received power clears the pruning threshold — the only nodes
-//! for which frame events are generated.
+//! The event path never looks a link up by `(tx, rx)`: the world walks
+//! the transmitter's row when a frame starts, and each `FrameStart` event
+//! carries the link's index, so the receiver and its received power are
+//! array reads. [`Medium::gain`] and [`Medium::delay_ns`] binary-search a
+//! row and are setup-time queries.
 //!
-//! Construction goes through [`MediumBuilder`]; the old free
-//! constructors (`Medium::from_gains_db`, `Medium::uniform`) survive one
-//! PR cycle as deprecated shims.
+//! Construction goes through [`MediumBuilder`].
+
+use std::ops::Range;
 
 use crate::config::PhyConfig;
 use crate::node::NodeId;
-use cmap_phy::units::{db_to_ratio, SPEED_OF_LIGHT_M_PER_S};
-use cmap_phy::{dbm_to_mw, mw_to_dbm, propagation};
+use cmap_phy::units::db_to_ratio;
+use cmap_phy::{dbm_to_mw, propagation};
 
-mod sealed {
-    /// Seals [`super::Propagation`]: the engine's event fan-out and
-    /// grading paths are validated against exactly these
-    /// implementations, so downstream crates may *call* the trait but
-    /// not implement it.
-    pub trait Sealed {}
-    impl Sealed for super::DenseMedium {}
-    impl Sealed for super::SparseMedium {}
-    impl Sealed for super::Medium {}
-}
-
-/// Frozen large-scale propagation state between every pair of nodes.
-///
-/// Sealed: implemented by [`DenseMedium`], [`SparseMedium`] and the
-/// dispatching [`Medium`] enum only. All power quantities are linear mW
-/// (gains are linear power ratios); conversions to dB happen at the
-/// edges.
-pub trait Propagation: sealed::Sealed {
-    /// Number of nodes.
-    fn len(&self) -> usize;
-
-    /// True when the medium has no nodes.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Configured transmit power in linear mW.
-    fn tx_power_mw(&self) -> f64;
-
-    /// Linear power gain from `tx` to `rx`. For a pruned (sparse) link
-    /// this is exactly `0.0` — the link contributes no energy.
-    fn gain(&self, tx: NodeId, rx: NodeId) -> f64;
-
-    /// Propagation delay from `tx` to `rx` in nanoseconds. Pruned links
-    /// report `0` (they generate no events, so the value is never used
-    /// on the simulation path).
-    fn delay_ns(&self, tx: NodeId, rx: NodeId) -> u64;
-
-    /// Receivers that get events for transmissions from `tx`, in
-    /// ascending node order (one contiguous CSR slice).
-    fn reachable(&self, tx: NodeId) -> &[NodeId];
-
-    /// Append every *other* node within `radius_m` metres of `node` to
-    /// `out`, in ascending node order. [`SparseMedium`] answers from its
-    /// grid index; [`DenseMedium`] has no coordinates and derives
-    /// distance from the stored propagation delay (quantized to the
-    /// ~0.3 m the delay's whole-nanosecond rounding allows).
-    fn neighbors_within(&self, node: NodeId, radius_m: f64, out: &mut Vec<NodeId>);
-
-    /// Received power in linear mW at `rx` from a transmission by `tx`,
-    /// before fading.
-    fn rss_mw(&self, tx: NodeId, rx: NodeId) -> f64 {
-        self.tx_power_mw() * self.gain(tx, rx)
-    }
-
-    /// Received power in dBm at `rx` from `tx`, before fading.
-    fn rss_dbm(&self, tx: NodeId, rx: NodeId) -> f64 {
-        mw_to_dbm(self.rss_mw(tx, rx))
-    }
-
-    /// Received power in mW with a time-varying dB offset applied on top
-    /// of the frozen gain — the fault-injection hook for Gilbert–Elliott
-    /// burst loss and stepped shadowing (negative offset = extra loss).
-    fn rss_mw_with_db_offset(&self, tx: NodeId, rx: NodeId, offset_db: f64) -> f64 {
-        self.rss_mw(tx, rx) * db_to_ratio(offset_db)
-    }
-}
-
-/// Metres of free-space travel per nanosecond of propagation delay (the
-/// inverse of [`propagation::propagation_delay_ns`]'s rate).
-const METRES_PER_NS: f64 = SPEED_OF_LIGHT_M_PER_S * 1e-9;
-
-// ---- dense engine --------------------------------------------------------
-
-/// The exact `n × n` medium: every pair's gain and delay is stored.
-///
-/// The per-transmitter reachability lists are stored in CSR form — one
-/// flat index array plus `n + 1` offsets — instead of a
-/// `Vec<Vec<NodeId>>`, so the fan-out walk at every transmission start
-/// reads one contiguous slice with no per-transmitter pointer chase.
-#[derive(Debug, Clone)]
-pub struct DenseMedium {
-    n: usize,
-    /// Linear power gain from tx to rx, row-major `[tx * n + rx]`.
-    gain: Vec<f64>,
-    /// Propagation delay in ns, same layout.
-    delay_ns: Vec<u64>,
-    /// Receivers above the delivery floor, all transmitters concatenated.
-    reach_idx: Vec<NodeId>,
-    /// CSR offsets: tx's receivers are `reach_idx[reach_off[tx]..reach_off[tx + 1]]`.
-    reach_off: Vec<u32>,
-    tx_power_mw: f64,
-}
-
-impl DenseMedium {
-    /// Build from a matrix of link gains in dB (negative = loss),
-    /// row-major `[tx * n + rx]`, and per-link delays in nanoseconds.
-    /// Diagonal entries are ignored.
-    pub fn from_gains_db(
-        n: usize,
-        gains_db: &[f64],
-        delay_ns: &[u64],
-        phy: &PhyConfig,
-    ) -> DenseMedium {
-        assert_eq!(gains_db.len(), n * n, "gain matrix must be n*n");
-        assert_eq!(delay_ns.len(), n * n, "delay matrix must be n*n");
-        let gain: Vec<f64> = gains_db.iter().map(|&db| dbm_to_mw(db)).collect();
-        let tx_power_mw = dbm_to_mw(phy.tx_power_dbm);
-        let floor_mw = dbm_to_mw(phy.delivery_floor_dbm);
-        let mut reach_idx = Vec::new();
-        let mut reach_off = Vec::with_capacity(n + 1);
-        reach_off.push(0u32);
-        for tx in 0..n {
-            for rx in 0..n {
-                if tx != rx && tx_power_mw * gain[tx * n + rx] >= floor_mw {
-                    reach_idx.push(NodeId::new(rx));
-                }
-            }
-            reach_off.push(u32::try_from(reach_idx.len()).expect("reachability fits u32"));
-        }
-        DenseMedium {
-            n,
-            gain,
-            delay_ns: delay_ns.to_vec(),
-            reach_idx,
-            reach_off,
-            tx_power_mw,
-        }
-    }
-
-    /// A medium where every pair of distinct nodes has the same gain and
-    /// a 100 ns delay. Handy in unit tests.
-    pub fn uniform(n: usize, gain_db: f64, phy: &PhyConfig) -> DenseMedium {
-        let mut gains = vec![gain_db; n * n];
-        for i in 0..n {
-            gains[i * n + i] = f64::NEG_INFINITY;
-        }
-        let delays = vec![100u64; n * n];
-        DenseMedium::from_gains_db(n, &gains, &delays, phy)
-    }
-}
-
-impl Propagation for DenseMedium {
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn tx_power_mw(&self) -> f64 {
-        self.tx_power_mw
-    }
-
-    fn gain(&self, tx: NodeId, rx: NodeId) -> f64 {
-        debug_assert!(
-            tx.index() < self.n && rx.index() < self.n,
-            "DenseMedium::gain(tx {tx}, rx {rx}) out of bounds for {} nodes",
-            self.n
-        );
-        self.gain[tx.index() * self.n + rx.index()]
-    }
-
-    fn delay_ns(&self, tx: NodeId, rx: NodeId) -> u64 {
-        debug_assert!(
-            tx.index() < self.n && rx.index() < self.n,
-            "DenseMedium::delay_ns(tx {tx}, rx {rx}) out of bounds for {} nodes",
-            self.n
-        );
-        self.delay_ns[tx.index() * self.n + rx.index()]
-    }
-
-    fn reachable(&self, tx: NodeId) -> &[NodeId] {
-        &self.reach_idx
-            [self.reach_off[tx.index()] as usize..self.reach_off[tx.index() + 1] as usize]
-    }
-
-    fn neighbors_within(&self, node: NodeId, radius_m: f64, out: &mut Vec<NodeId>) {
-        out.clear();
-        for rx in 0..self.n {
-            if rx == node.index() {
-                continue;
-            }
-            let d_ns = self.delay_ns[node.index() * self.n + rx];
-            // cmap-lint: allow(unit-cast) — delay→distance conversion is this function's contract; METRES_PER_NS carries the units
-            if d_ns as f64 * METRES_PER_NS <= radius_m {
-                out.push(NodeId::new(rx));
-            }
-        }
-    }
-}
-
-// ---- sparse engine -------------------------------------------------------
-
-/// Build-time accounting of what sparse pruning discarded, recorded in
-/// run artifacts so a pruned run states its own physics error.
+/// Build-time accounting of what pruning discarded, recorded in run
+/// artifacts so a pruned run states its own physics error.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SparseStats {
     /// Directed links kept (above the pruning threshold).
     pub links: u64,
-    /// Directed links evaluated but pruned while a dense medium would
-    /// have kept them (received power in `[delivery floor, threshold)`).
+    /// Directed links evaluated and pruned although they reach the
+    /// delivery floor (received power in `[delivery floor, threshold)`).
     pub pruned: u64,
     /// Directed pairs never evaluated (outside the spatial candidate
-    /// range of a generator-fed build); bounded by the tail gain.
+    /// range of a position-fed build); bounded by the tail gain.
     pub tail_pairs: u64,
     /// The configured pruning margin above the delivery floor, in dB.
     pub epsilon_db: f64,
@@ -243,7 +53,7 @@ pub struct SparseStats {
     pub error_bound_db: f64,
 }
 
-/// Uniform-grid spatial index over node positions.
+/// Uniform-grid spatial index over node positions (position builds only).
 #[derive(Debug, Clone)]
 struct Grid {
     cell_m: f64,
@@ -313,7 +123,7 @@ impl Grid {
         ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt()
     }
 
-    /// Nodes (other than `node`) within `radius_m`, appended to `out` in
+    /// Nodes (other than `node`) within `radius_m`, written to `out` in
     /// ascending node order.
     fn neighbors_within(&self, node: NodeId, radius_m: f64, out: &mut Vec<NodeId>) {
         out.clear();
@@ -340,10 +150,11 @@ impl Grid {
     }
 }
 
-/// The spatially indexed sparse medium: only links above the pruning
-/// threshold are materialised, in CSR form per transmitter.
+/// The medium a [`World`](crate::World) runs over: epsilon-pruned CSR
+/// link rows, one per transmitter. All power quantities are linear mW
+/// (gains are linear power ratios); conversions to dB happen at the edges.
 #[derive(Debug, Clone)]
-pub struct SparseMedium {
+pub struct Medium {
     n: usize,
     tx_power_mw: f64,
     /// CSR offsets: tx's links are index range `link_off[tx]..link_off[tx+1]`.
@@ -354,93 +165,107 @@ pub struct SparseMedium {
     link_gain: Vec<f64>,
     /// Propagation delay per link in ns, parallel to `link_rx`.
     link_delay: Vec<u64>,
-    /// Spatial index; present when built from positions.
-    grid: Option<Grid>,
     stats: SparseStats,
 }
 
-impl SparseMedium {
-    /// Row slice of link array indices for `tx`.
-    fn row(&self, tx: NodeId) -> std::ops::Range<usize> {
-        self.link_off[tx.index()] as usize..self.link_off[tx.index() + 1] as usize
+/// Row-by-row accumulator shared by the matrix and position builds: keeps
+/// each offered link above the threshold, counts and accounts the ones
+/// between the floor and the threshold.
+struct RowBuilder {
+    tx_power_mw: f64,
+    floor_mw: f64,
+    threshold_mw: f64,
+    link_off: Vec<u32>,
+    link_rx: Vec<NodeId>,
+    link_gain: Vec<f64>,
+    link_delay: Vec<u64>,
+    pruned: u64,
+    /// Pruned power per receiver, in mW.
+    dropped_mw: Vec<f64>,
+}
+
+impl RowBuilder {
+    fn new(n: usize, phy: &PhyConfig, epsilon_db: f64) -> RowBuilder {
+        assert!(epsilon_db >= 0.0, "epsilon is a margin above the floor");
+        let floor_mw = dbm_to_mw(phy.delivery_floor_dbm);
+        let mut link_off = Vec::with_capacity(n + 1);
+        link_off.push(0);
+        RowBuilder {
+            tx_power_mw: dbm_to_mw(phy.tx_power_dbm),
+            floor_mw,
+            threshold_mw: floor_mw * db_to_ratio(epsilon_db),
+            link_off,
+            link_rx: Vec::new(),
+            link_gain: Vec::new(),
+            link_delay: Vec::new(),
+            pruned: 0,
+            dropped_mw: vec![0.0; n],
+        }
     }
 
-    /// Position of `rx` within `tx`'s sorted link row, if the link is
-    /// stored.
-    fn find(&self, tx: NodeId, rx: NodeId) -> Option<usize> {
-        let row = self.row(tx);
-        self.link_rx[row.clone()]
-            .binary_search(&rx)
-            .ok()
-            .map(|i| row.start + i)
+    /// Offer the current row's link to `rx` with linear `gain`; `delay_ns`
+    /// is only evaluated for a kept link.
+    fn offer(&mut self, rx: NodeId, gain: f64, delay_ns: impl FnOnce() -> u64) {
+        let rss = self.tx_power_mw * gain;
+        if rss >= self.threshold_mw {
+            self.link_rx.push(rx);
+            self.link_gain.push(gain);
+            self.link_delay.push(delay_ns());
+        } else if rss >= self.floor_mw {
+            self.pruned += 1;
+            self.dropped_mw[rx.index()] += rss;
+        }
     }
 
-    /// Pruning accounting for this medium.
-    pub fn stats(&self) -> &SparseStats {
-        &self.stats
+    fn end_row(&mut self) {
+        self.link_off
+            .push(u32::try_from(self.link_rx.len()).expect("links fit u32"));
     }
 
-    /// Build by sparsifying a dense gain/delay matrix (test-scale `n`;
-    /// the matrix is O(n²) to hand over in the first place). With
-    /// `epsilon_db == 0` the kept link set, gains and delays are
-    /// bit-identical to [`DenseMedium::from_gains_db`] over the same
-    /// inputs.
-    pub fn from_gains_db(
+    /// Fold the per-receiver dropped power into the recorded stats.
+    fn finish(self, tail_pairs: u64, epsilon_db: f64, noise_mw: f64) -> Medium {
+        let worst = self.dropped_mw.iter().fold(0.0f64, |a, &b| a.max(b));
+        Medium {
+            n: self.link_off.len() - 1,
+            tx_power_mw: self.tx_power_mw,
+            stats: SparseStats {
+                links: self.link_rx.len() as u64,
+                pruned: self.pruned,
+                tail_pairs,
+                epsilon_db,
+                error_bound_db: 10.0 * (1.0 + worst / noise_mw).log10(),
+            },
+            link_off: self.link_off,
+            link_rx: self.link_rx,
+            link_gain: self.link_gain,
+            link_delay: self.link_delay,
+        }
+    }
+}
+
+impl Medium {
+    /// Build from a row-major `n × n` matrix of link gains in dB
+    /// (negative = loss) and per-link delays in nanoseconds (test and
+    /// testbed scale: the matrix is O(n²) to hand over in the first
+    /// place). Diagonal entries are ignored.
+    fn from_gains_db(
         n: usize,
         gains_db: &[f64],
         delay_ns: &[u64],
         phy: &PhyConfig,
         epsilon_db: f64,
-    ) -> SparseMedium {
-        assert_eq!(gains_db.len(), n * n, "gain matrix must be n*n");
-        assert_eq!(delay_ns.len(), n * n, "delay matrix must be n*n");
-        assert!(epsilon_db >= 0.0, "epsilon is a margin above the floor");
-        let tx_power_mw = dbm_to_mw(phy.tx_power_dbm);
-        let floor_mw = dbm_to_mw(phy.delivery_floor_dbm);
-        let threshold_mw = floor_mw * db_to_ratio(epsilon_db);
-        let mut link_off = Vec::with_capacity(n + 1);
-        link_off.push(0u32);
-        let mut link_rx = Vec::new();
-        let mut link_gain = Vec::new();
-        let mut link_delay = Vec::new();
-        let mut pruned = 0u64;
-        let mut dropped_mw = vec![0.0f64; n];
+    ) -> Medium {
+        let mut rows = RowBuilder::new(n, phy, epsilon_db);
         for tx in 0..n {
             for rx in 0..n {
-                if tx == rx {
-                    continue;
-                }
-                let gain = dbm_to_mw(gains_db[tx * n + rx]);
-                let rss = tx_power_mw * gain;
-                if rss >= threshold_mw {
-                    link_rx.push(NodeId::new(rx));
-                    link_gain.push(gain);
-                    link_delay.push(delay_ns[tx * n + rx]);
-                } else if rss >= floor_mw {
-                    pruned += 1;
-                    dropped_mw[rx] += rss;
+                if tx != rx {
+                    let i = tx * n + rx;
+                    rows.offer(NodeId::new(rx), dbm_to_mw(gains_db[i]), || delay_ns[i]);
                 }
             }
-            link_off.push(u32::try_from(link_rx.len()).expect("links fit u32"));
+            rows.end_row();
         }
-        let stats = finish_stats(
-            link_rx.len() as u64,
-            pruned,
-            0,
-            epsilon_db,
-            &dropped_mw,
-            phy.noise_mw(),
-        );
-        SparseMedium {
-            n,
-            tx_power_mw,
-            link_off,
-            link_rx,
-            link_gain,
-            link_delay,
-            grid: None,
-            stats,
-        }
+        rows.finish(0, epsilon_db, phy.noise_mw())
     }
 
     /// Build from node positions and a link-gain model, evaluating only
@@ -454,32 +279,22 @@ impl SparseMedium {
     /// never evaluated; each is assumed to contribute at most
     /// `tail_gain_db` (the caller's bound on the model's gain at the
     /// evaluation range) to the recorded error bound.
-    pub fn from_positions(
+    fn from_positions(
         positions: &[(f64, f64)],
         phy: &PhyConfig,
         epsilon_db: f64,
         eval_range_m: f64,
         tail_gain_db: f64,
         model: &dyn Fn(usize, usize, f64) -> f64,
-    ) -> SparseMedium {
-        assert!(epsilon_db >= 0.0, "epsilon is a margin above the floor");
+    ) -> Medium {
         assert!(eval_range_m > 0.0, "evaluation range must be positive");
         let n = positions.len();
-        let tx_power_mw = dbm_to_mw(phy.tx_power_dbm);
-        let floor_mw = dbm_to_mw(phy.delivery_floor_dbm);
-        let threshold_mw = floor_mw * db_to_ratio(epsilon_db);
+        let mut rows = RowBuilder::new(n, phy, epsilon_db);
         // Cell size = evaluation range keeps the candidate scan to the
         // 3×3 cell neighborhood.
         let grid = Grid::build(positions, eval_range_m);
-        let mut link_off = Vec::with_capacity(n + 1);
-        link_off.push(0u32);
-        let mut link_rx = Vec::new();
-        let mut link_gain = Vec::new();
-        let mut link_delay = Vec::new();
-        let mut pruned = 0u64;
         let mut tail_pairs = 0u64;
-        let mut dropped_mw = vec![0.0f64; n];
-        let tail_rss_mw = tx_power_mw * dbm_to_mw(tail_gain_db);
+        let mut evaluated = Vec::with_capacity(n);
         let mut candidates = Vec::new();
         for tx in 0..n {
             let tx_id = NodeId::new(tx);
@@ -487,316 +302,109 @@ impl SparseMedium {
             for &rx in &candidates {
                 let dist = grid.dist_m(tx_id, rx);
                 let gain = dbm_to_mw(model(tx, rx.index(), dist));
-                let rss = tx_power_mw * gain;
-                if rss >= threshold_mw {
-                    link_rx.push(rx);
-                    link_gain.push(gain);
-                    link_delay.push(propagation::propagation_delay_ns(dist));
-                } else if rss >= floor_mw {
-                    pruned += 1;
-                    dropped_mw[rx.index()] += rss;
-                }
+                rows.offer(rx, gain, || propagation::propagation_delay_ns(dist));
             }
+            rows.end_row();
             // Every never-evaluated pair is bounded by the tail gain.
-            let beyond = (n - 1 - candidates.len()) as u64;
-            tail_pairs += beyond;
-            link_off.push(u32::try_from(link_rx.len()).expect("links fit u32"));
+            evaluated.push(candidates.len() as u64);
+            tail_pairs += (n - 1 - candidates.len()) as u64;
         }
         // The tail bound is per *receiver*: a node can absorb at most
         // one tail contribution from each never-evaluated transmitter,
         // and the candidate relation is symmetric, so the per-tx count
         // mirrors the per-rx count.
+        let tail_rss_mw = rows.tx_power_mw * dbm_to_mw(tail_gain_db);
         if tail_rss_mw > 0.0 {
-            let mut evaluated = vec![0u64; n];
-            for (tx, count) in evaluated.iter_mut().enumerate() {
-                grid.neighbors_within(NodeId::new(tx), eval_range_m, &mut candidates);
-                *count = candidates.len() as u64;
-            }
-            for rx in 0..n {
-                let beyond = (n as u64 - 1).saturating_sub(evaluated[rx]);
+            for (rx, &count) in evaluated.iter().enumerate() {
+                let beyond = (n as u64 - 1).saturating_sub(count);
                 // cmap-lint: allow(unit-cast) — `beyond` is a dimensionless pair count scaling the per-pair tail power
-                dropped_mw[rx] += beyond as f64 * tail_rss_mw;
+                rows.dropped_mw[rx] += beyond as f64 * tail_rss_mw;
             }
         }
-        let stats = finish_stats(
-            link_rx.len() as u64,
-            pruned,
-            tail_pairs,
-            epsilon_db,
-            &dropped_mw,
-            phy.noise_mw(),
-        );
-        SparseMedium {
-            n,
-            tx_power_mw,
-            link_off,
-            link_rx,
-            link_gain,
-            link_delay,
-            grid: Some(grid),
-            stats,
-        }
-    }
-}
-
-/// Fold per-receiver dropped power into the recorded [`SparseStats`].
-fn finish_stats(
-    links: u64,
-    pruned: u64,
-    tail_pairs: u64,
-    epsilon_db: f64,
-    dropped_mw: &[f64],
-    noise_mw: f64,
-) -> SparseStats {
-    let worst = dropped_mw.iter().fold(0.0f64, |a, &b| a.max(b));
-    SparseStats {
-        links,
-        pruned,
-        tail_pairs,
-        epsilon_db,
-        error_bound_db: 10.0 * (1.0 + worst / noise_mw).log10(),
-    }
-}
-
-impl Propagation for SparseMedium {
-    fn len(&self) -> usize {
-        self.n
+        rows.finish(tail_pairs, epsilon_db, phy.noise_mw())
     }
 
-    fn tx_power_mw(&self) -> f64 {
-        self.tx_power_mw
-    }
-
-    fn gain(&self, tx: NodeId, rx: NodeId) -> f64 {
-        debug_assert!(
-            tx.index() < self.n && rx.index() < self.n,
-            "SparseMedium::gain(tx {tx}, rx {rx}) out of bounds for {} nodes",
-            self.n
-        );
-        match self.find(tx, rx) {
-            Some(i) => self.link_gain[i],
-            None => 0.0,
-        }
-    }
-
-    fn delay_ns(&self, tx: NodeId, rx: NodeId) -> u64 {
-        debug_assert!(
-            tx.index() < self.n && rx.index() < self.n,
-            "SparseMedium::delay_ns(tx {tx}, rx {rx}) out of bounds for {} nodes",
-            self.n
-        );
-        match self.find(tx, rx) {
-            Some(i) => self.link_delay[i],
-            None => 0,
-        }
-    }
-
-    fn reachable(&self, tx: NodeId) -> &[NodeId] {
-        &self.link_rx[self.row(tx)]
-    }
-
-    fn neighbors_within(&self, node: NodeId, radius_m: f64, out: &mut Vec<NodeId>) {
-        match &self.grid {
-            Some(grid) => grid.neighbors_within(node, radius_m, out),
-            None => {
-                // Matrix-built: no coordinates; fall back to the stored
-                // link delays, like the dense engine.
-                out.clear();
-                let row = self.row(node);
-                for i in row {
-                    // cmap-lint: allow(unit-cast) — delay→distance conversion is this function's contract; METRES_PER_NS carries the units
-                    if self.link_delay[i] as f64 * METRES_PER_NS <= radius_m {
-                        out.push(self.link_rx[i]);
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---- the dispatching enum ------------------------------------------------
-
-/// The medium a [`World`](crate::World) runs over: one of the two
-/// propagation engines behind one concrete type (no fat pointers or
-/// virtual dispatch on the event hot path — each accessor is a single
-/// two-arm match).
-#[derive(Debug, Clone)]
-pub enum Medium {
-    /// Exact O(n²) matrix engine.
-    Dense(DenseMedium),
-    /// Spatially indexed, epsilon-pruned CSR engine.
-    Sparse(SparseMedium),
-}
-
-macro_rules! on_engine {
-    ($self:expr, $m:ident => $body:expr) => {
-        match $self {
-            Medium::Dense($m) => $body,
-            Medium::Sparse($m) => $body,
-        }
-    };
-}
-
-impl Medium {
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        on_engine!(self, m => Propagation::len(m))
+        self.n
     }
 
     /// True when the medium has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.n == 0
     }
 
-    /// Configured transmit power in linear mW.
-    pub fn tx_power_mw(&self) -> f64 {
-        on_engine!(self, m => Propagation::tx_power_mw(m))
+    /// Row slice of link indices for `tx`.
+    fn row(&self, tx: NodeId) -> Range<usize> {
+        self.link_off[tx.index()] as usize..self.link_off[tx.index() + 1] as usize
     }
 
-    /// Linear gain from `tx` to `rx` (see [`Propagation::gain`]).
+    /// Index of the stored link `tx → rx`, if any. Panics (debug builds)
+    /// naming the pair when either node is out of range.
+    fn find(&self, tx: NodeId, rx: NodeId) -> Option<usize> {
+        debug_assert!(
+            tx.index() < self.n && rx.index() < self.n,
+            "Medium link (tx {tx}, rx {rx}) out of bounds for {} nodes",
+            self.n
+        );
+        let row = self.row(tx);
+        self.link_rx[row.clone()]
+            .binary_search(&rx)
+            .ok()
+            .map(|i| row.start + i)
+    }
+
+    /// Linear power gain from `tx` to `rx`; exactly `0.0` for a pair with
+    /// no stored link (it contributes no energy). A setup-time query: it
+    /// binary-searches `tx`'s row.
     pub fn gain(&self, tx: NodeId, rx: NodeId) -> f64 {
-        on_engine!(self, m => Propagation::gain(m, tx, rx))
+        self.find(tx, rx).map_or(0.0, |i| self.link_gain[i])
     }
 
-    /// Propagation delay from `tx` to `rx` in nanoseconds.
+    /// Propagation delay from `tx` to `rx` in nanoseconds; `0` for a pair
+    /// with no stored link. A setup-time query, like [`Medium::gain`].
     pub fn delay_ns(&self, tx: NodeId, rx: NodeId) -> u64 {
-        on_engine!(self, m => Propagation::delay_ns(m, tx, rx))
-    }
-
-    /// Receivers that get events for transmissions from `tx`, ascending.
-    pub fn reachable(&self, tx: NodeId) -> &[NodeId] {
-        on_engine!(self, m => Propagation::reachable(m, tx))
-    }
-
-    /// Nodes within `radius_m` of `node` (see
-    /// [`Propagation::neighbors_within`]).
-    pub fn neighbors_within(&self, node: NodeId, radius_m: f64, out: &mut Vec<NodeId>) {
-        on_engine!(self, m => Propagation::neighbors_within(m, node, radius_m, out))
+        self.find(tx, rx).map_or(0, |i| self.link_delay[i])
     }
 
     /// Received power in linear mW at `rx` from `tx`, before fading.
     pub fn rss_mw(&self, tx: NodeId, rx: NodeId) -> f64 {
-        self.tx_power_mw() * self.gain(tx, rx)
+        self.tx_power_mw * self.gain(tx, rx)
     }
 
-    /// Received power in dBm at `rx` from `tx`, before fading.
-    pub fn rss_dbm(&self, tx: NodeId, rx: NodeId) -> f64 {
-        mw_to_dbm(self.rss_mw(tx, rx))
+    /// Receivers that get events for transmissions from `tx`, in
+    /// ascending node order (one contiguous CSR slice).
+    pub fn reachable(&self, tx: NodeId) -> &[NodeId] {
+        &self.link_rx[self.row(tx)]
     }
 
-    /// Received power in mW with a fault-injection dB offset applied.
-    pub fn rss_mw_with_db_offset(&self, tx: NodeId, rx: NodeId, offset_db: f64) -> f64 {
-        self.rss_mw(tx, rx) * db_to_ratio(offset_db)
-    }
-
-    /// `"dense"` or `"sparse"`, for artifacts and error messages.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Medium::Dense(_) => "dense",
-            Medium::Sparse(_) => "sparse",
-        }
-    }
-
-    /// Pruning accounting, when this is a sparse medium.
+    /// Pruning accounting. Always `Some`: every medium records what its
+    /// epsilon margin and evaluation range discarded.
     pub fn sparse_stats(&self) -> Option<&SparseStats> {
-        match self {
-            Medium::Dense(_) => None,
-            Medium::Sparse(m) => Some(m.stats()),
-        }
+        Some(&self.stats)
     }
 
-    /// Structural fingerprint: FNV-1a over the engine kind, node count,
-    /// transmit power and every stored link. Two media with the same
-    /// fingerprint produce the same event fan-out, so checkpoints echo
-    /// it to reject restores into a differently-built world
-    /// (`cmap-ckpt/v2`).
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.u64(self.len() as u64);
-        h.u64(self.tx_power_mw().to_bits());
-        match self {
-            Medium::Dense(m) => {
-                h.u64(1);
-                for &g in &m.gain {
-                    h.u64(g.to_bits());
-                }
-                for &d in &m.delay_ns {
-                    h.u64(d);
-                }
-                for &r in &m.reach_idx {
-                    h.u64(r.index() as u64);
-                }
-            }
-            Medium::Sparse(m) => {
-                h.u64(2);
-                for &off in &m.link_off {
-                    h.u64(u64::from(off));
-                }
-                for i in 0..m.link_rx.len() {
-                    h.u64(m.link_rx[i].index() as u64);
-                    h.u64(m.link_gain[i].to_bits());
-                    h.u64(m.link_delay[i]);
-                }
-            }
-        }
-        h.finish()
+    /// Link indices of `tx`'s row, in ascending receiver order.
+    pub(crate) fn links(&self, tx: NodeId) -> Range<u32> {
+        self.link_off[tx.index()]..self.link_off[tx.index() + 1]
     }
 
-    /// Deprecated shim for the pre-builder dense constructor.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use MediumBuilder::new(phy).gains_db(n, gains, delays).build()"
-    )]
-    pub fn from_gains_db(n: usize, gains_db: &[f64], delay_ns: &[u64], phy: &PhyConfig) -> Medium {
-        Medium::Dense(DenseMedium::from_gains_db(n, gains_db, delay_ns, phy))
+    /// Receiver of link `link`.
+    #[inline]
+    pub(crate) fn link_rx(&self, link: u32) -> NodeId {
+        self.link_rx[link as usize]
     }
 
-    /// Deprecated shim for the pre-builder uniform constructor.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use MediumBuilder::new(phy).uniform(n, gain_db).build()"
-    )]
-    pub fn uniform(n: usize, gain_db: f64, phy: &PhyConfig) -> Medium {
-        Medium::Dense(DenseMedium::uniform(n, gain_db, phy))
+    /// Propagation delay of link `link` in nanoseconds.
+    #[inline]
+    pub(crate) fn link_delay_ns(&self, link: u32) -> u64 {
+        self.link_delay[link as usize]
     }
-}
 
-impl Propagation for Medium {
-    fn len(&self) -> usize {
-        Medium::len(self)
-    }
-    fn tx_power_mw(&self) -> f64 {
-        Medium::tx_power_mw(self)
-    }
-    fn gain(&self, tx: NodeId, rx: NodeId) -> f64 {
-        Medium::gain(self, tx, rx)
-    }
-    fn delay_ns(&self, tx: NodeId, rx: NodeId) -> u64 {
-        Medium::delay_ns(self, tx, rx)
-    }
-    fn reachable(&self, tx: NodeId) -> &[NodeId] {
-        Medium::reachable(self, tx)
-    }
-    fn neighbors_within(&self, node: NodeId, radius_m: f64, out: &mut Vec<NodeId>) {
-        Medium::neighbors_within(self, node, radius_m, out)
-    }
-}
-
-/// FNV-1a over a stream of `u64` words.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
+    /// Received power of link `link` in linear mW, before fading.
+    #[inline]
+    pub(crate) fn link_rss_mw(&self, link: u32) -> f64 {
+        self.tx_power_mw * self.link_gain[link as usize]
     }
 }
 
@@ -810,10 +418,6 @@ enum Source<'m> {
         gains_db: Vec<f64>,
         delay_ns: Vec<u64>,
     },
-    Uniform {
-        n: usize,
-        gain_db: f64,
-    },
     Positions {
         positions: Vec<(f64, f64)>,
         eval_range_m: f64,
@@ -823,24 +427,18 @@ enum Source<'m> {
 }
 
 /// Builds a [`Medium`]: pick a source (gain matrix, uniform gain, or
-/// positions + link model), an engine (dense or sparse), the transmit
-/// power and the sparse pruning epsilon.
-///
-/// Matrix and uniform sources default to the dense engine; position
-/// sources default to sparse. Replaces `Medium::from_gains_db` /
-/// `Medium::uniform`:
+/// positions + link model) and the pruning epsilon.
 ///
 /// ```
 /// use cmap_sim::{MediumBuilder, PhyConfig};
 /// let phy = PhyConfig::default();
 /// let medium = MediumBuilder::new(&phy).uniform(3, -70.0).build();
 /// assert_eq!(medium.len(), 3);
-/// assert_eq!(medium.kind_name(), "dense");
+/// assert_eq!(medium.sparse_stats().unwrap().links, 6);
 /// ```
 pub struct MediumBuilder<'m> {
     phy: PhyConfig,
     epsilon_db: f64,
-    sparse: Option<bool>,
     source: Source<'m>,
 }
 
@@ -851,20 +449,13 @@ impl<'m> MediumBuilder<'m> {
         MediumBuilder {
             phy: phy.clone(),
             epsilon_db: 0.0,
-            sparse: None,
             source: Source::None,
         }
     }
 
-    /// Override the transmit power (dBm) the medium assumes.
-    pub fn tx_power_dbm(mut self, dbm: f64) -> Self {
-        self.phy.tx_power_dbm = dbm;
-        self
-    }
-
-    /// Sparse pruning margin above the delivery floor, in dB (≥ 0).
-    /// Links whose received power is below `delivery_floor + epsilon`
-    /// are dropped; `0` keeps the sparse engine bit-identical to dense.
+    /// Pruning margin above the delivery floor, in dB (≥ 0). Links whose
+    /// received power is below `delivery_floor + epsilon` are dropped;
+    /// `0` keeps every link that reaches the floor, bit-exact.
     pub fn epsilon_db(mut self, db: f64) -> Self {
         assert!(db >= 0.0, "epsilon is a margin above the floor");
         self.epsilon_db = db;
@@ -887,13 +478,21 @@ impl<'m> MediumBuilder<'m> {
     /// Source: every distinct pair shares one gain (dB) and a 100 ns
     /// delay.
     pub fn uniform(mut self, n: usize, gain_db: f64) -> Self {
-        self.source = Source::Uniform { n, gain_db };
+        let mut gains_db = vec![gain_db; n * n];
+        for i in 0..n {
+            gains_db[i * n + i] = f64::NEG_INFINITY;
+        }
+        self.source = Source::GainsDb {
+            n,
+            gains_db,
+            delay_ns: vec![100; n * n],
+        };
         self
     }
 
     /// Source: node coordinates (metres) plus a pure link-gain model
     /// `model(tx, rx, dist_m) -> gain dB`. Candidate pairs are
-    /// enumerated within `eval_range_m` via the grid index;
+    /// enumerated within `eval_range_m` via a grid index;
     /// `tail_gain_db` bounds the model's gain at that range so
     /// never-evaluated pairs are accounted in the recorded error bound.
     pub fn positions(
@@ -912,23 +511,8 @@ impl<'m> MediumBuilder<'m> {
         self
     }
 
-    /// Force the dense engine.
-    pub fn dense(mut self) -> Self {
-        self.sparse = Some(false);
-        self
-    }
-
-    /// Force the sparse engine.
-    pub fn sparse(mut self) -> Self {
-        self.sparse = Some(true);
-        self
-    }
-
-    /// Build the medium. Panics when no source was given, or when a
-    /// position source is forced dense at a size where the O(n²) matrix
-    /// is plainly a mistake.
+    /// Build the medium. Panics when no source was given.
     pub fn build(self) -> Medium {
-        let phy = &self.phy;
         match self.source {
             Source::None => {
                 panic!("MediumBuilder: no source configured (gains_db/uniform/positions)")
@@ -937,76 +521,20 @@ impl<'m> MediumBuilder<'m> {
                 n,
                 gains_db,
                 delay_ns,
-            } => {
-                if self.sparse == Some(true) {
-                    Medium::Sparse(SparseMedium::from_gains_db(
-                        n,
-                        &gains_db,
-                        &delay_ns,
-                        phy,
-                        self.epsilon_db,
-                    ))
-                } else {
-                    Medium::Dense(DenseMedium::from_gains_db(n, &gains_db, &delay_ns, phy))
-                }
-            }
-            Source::Uniform { n, gain_db } => {
-                let mut gains = vec![gain_db; n * n];
-                for i in 0..n {
-                    gains[i * n + i] = f64::NEG_INFINITY;
-                }
-                let delays = vec![100u64; n * n];
-                if self.sparse == Some(true) {
-                    Medium::Sparse(SparseMedium::from_gains_db(
-                        n,
-                        &gains,
-                        &delays,
-                        phy,
-                        self.epsilon_db,
-                    ))
-                } else {
-                    Medium::Dense(DenseMedium::from_gains_db(n, &gains, &delays, phy))
-                }
-            }
+            } => Medium::from_gains_db(n, &gains_db, &delay_ns, &self.phy, self.epsilon_db),
             Source::Positions {
                 positions,
                 eval_range_m,
                 tail_gain_db,
                 model,
-            } => {
-                if self.sparse == Some(false) {
-                    let n = positions.len();
-                    assert!(
-                        n <= 8192,
-                        "dense medium from {n} positions would allocate an O(n²) matrix; \
-                         use the sparse engine"
-                    );
-                    let mut gains = vec![f64::NEG_INFINITY; n * n];
-                    let mut delays = vec![0u64; n * n];
-                    for tx in 0..n {
-                        for rx in 0..n {
-                            if tx == rx {
-                                continue;
-                            }
-                            let (ax, ay) = positions[tx];
-                            let (bx, by) = positions[rx];
-                            let dist = ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt();
-                            gains[tx * n + rx] = model(tx, rx, dist);
-                            delays[tx * n + rx] = propagation::propagation_delay_ns(dist);
-                        }
-                    }
-                    Medium::Dense(DenseMedium::from_gains_db(n, &gains, &delays, phy))
-                } else {
-                    Medium::Sparse(SparseMedium::from_positions(
-                        &positions,
-                        phy,
-                        self.epsilon_db,
-                        eval_range_m,
-                        tail_gain_db,
-                        &model,
-                    ))
-                }
-            }
+            } => Medium::from_positions(
+                &positions,
+                &self.phy,
+                self.epsilon_db,
+                eval_range_m,
+                tail_gain_db,
+                &model,
+            ),
         }
     }
 }
@@ -1014,6 +542,7 @@ impl<'m> MediumBuilder<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cmap_phy::mw_to_dbm;
 
     fn nid(i: usize) -> NodeId {
         NodeId::new(i)
@@ -1025,15 +554,11 @@ mod tests {
         let m = MediumBuilder::new(&phy).uniform(4, -80.0).build();
         assert_eq!(m.len(), 4);
         for tx in 0..4 {
-            let mut r = m.reachable(nid(tx)).to_vec();
-            r.sort_unstable();
             let expect: Vec<NodeId> = (0..4).filter(|&x| x != tx).map(nid).collect();
-            assert_eq!(r, expect);
+            assert_eq!(m.reachable(nid(tx)), expect);
             // 15 dBm - 80 dB = -65 dBm at each receiver.
-            for rx in 0..4 {
-                if rx != tx {
-                    assert!((m.rss_dbm(nid(tx), nid(rx)) + 65.0).abs() < 1e-9);
-                }
+            for &rx in m.reachable(nid(tx)) {
+                assert!((mw_to_dbm(m.rss_mw(nid(tx), rx)) + 65.0).abs() < 1e-9);
             }
         }
     }
@@ -1048,6 +573,8 @@ mod tests {
             .build();
         assert!(m.reachable(nid(0)).is_empty());
         assert_eq!(m.reachable(nid(1)), &[nid(0)]);
+        // A pair with no stored link carries no energy.
+        assert_eq!(m.gain(nid(0), nid(1)).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
@@ -1057,7 +584,7 @@ mod tests {
         let m = MediumBuilder::new(&phy)
             .gains_db(2, &gains, &[0, 33, 33, 0])
             .build();
-        assert!(m.rss_dbm(nid(0), nid(1)) > m.rss_dbm(nid(1), nid(0)));
+        assert!(m.rss_mw(nid(0), nid(1)) > m.rss_mw(nid(1), nid(0)));
         assert_eq!(m.delay_ns(nid(0), nid(1)), 33);
     }
 
@@ -1073,6 +600,35 @@ mod tests {
         assert_eq!(m.delay_ns(nid(0), nid(1)), 120);
         assert_eq!(m.delay_ns(nid(1), nid(0)), 450);
         assert_eq!(m.delay_ns(nid(0), nid(0)), 0);
+    }
+
+    #[test]
+    fn link_rows_match_the_pair_queries() {
+        let phy = PhyConfig::default();
+        let gains = vec![
+            f64::NEG_INFINITY,
+            -70.0,
+            -125.0,
+            -80.0,
+            f64::NEG_INFINITY,
+            -90.0,
+            -60.0,
+            -100.0,
+            f64::NEG_INFINITY,
+        ];
+        let delays: Vec<u64> = (0..9).map(|i| 10 + i).collect();
+        let m = MediumBuilder::new(&phy)
+            .gains_db(3, &gains, &delays)
+            .build();
+        for tx in 0..3 {
+            let rxs: Vec<NodeId> = m.links(nid(tx)).map(|l| m.link_rx(l)).collect();
+            assert_eq!(rxs, m.reachable(nid(tx)));
+            for l in m.links(nid(tx)) {
+                let rx = m.link_rx(l);
+                assert_eq!(m.link_rss_mw(l).to_bits(), m.rss_mw(nid(tx), rx).to_bits());
+                assert_eq!(m.link_delay_ns(l), m.delay_ns(nid(tx), rx));
+            }
+        }
     }
 
     #[test]
@@ -1098,57 +654,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_build_dense() {
-        let phy = PhyConfig::default();
-        let a = Medium::uniform(3, -70.0, &phy);
-        assert_eq!(a.kind_name(), "dense");
-        let gains = vec![f64::NEG_INFINITY, -70.0, -70.0, f64::NEG_INFINITY];
-        let b = Medium::from_gains_db(2, &gains, &[0, 100, 100, 0], &phy);
-        assert_eq!(b.reachable(nid(0)), &[nid(1)]);
-    }
-
-    #[test]
-    fn sparse_epsilon_zero_matches_dense_exactly() {
-        let phy = PhyConfig::default();
-        let n = 5;
-        let mut gains = vec![f64::NEG_INFINITY; n * n];
-        let mut delays = vec![0u64; n * n];
-        // A spread of strong, weak and sub-floor links.
-        let levels = [-60.0, -80.0, -100.0, -118.0, -126.0];
-        for tx in 0..n {
-            for rx in 0..n {
-                if tx != rx {
-                    gains[tx * n + rx] = levels[(tx * 3 + rx) % levels.len()];
-                    delays[tx * n + rx] = 30 + (tx * 7 + rx) as u64;
-                }
-            }
-        }
-        let dense = MediumBuilder::new(&phy)
-            .gains_db(n, &gains, &delays)
-            .build();
-        let sparse = MediumBuilder::new(&phy)
-            .gains_db(n, &gains, &delays)
-            .sparse()
-            .build();
-        assert_eq!(sparse.kind_name(), "sparse");
-        for tx in 0..n {
-            assert_eq!(dense.reachable(nid(tx)), sparse.reachable(nid(tx)));
-            for &rx in dense.reachable(nid(tx)) {
-                assert_eq!(
-                    dense.gain(nid(tx), rx).to_bits(),
-                    sparse.gain(nid(tx), rx).to_bits()
-                );
-                assert_eq!(dense.delay_ns(nid(tx), rx), sparse.delay_ns(nid(tx), rx));
-            }
-        }
-        let st = sparse.sparse_stats().unwrap();
-        assert_eq!(st.pruned, 0);
-        assert_eq!(st.error_bound_db.to_bits(), 0.0f64.to_bits());
-    }
-
-    #[test]
-    fn sparse_epsilon_prunes_and_records_the_bound() {
+    fn epsilon_prunes_and_records_the_bound() {
         let phy = PhyConfig::default();
         let n = 3;
         // 0→1 strong; 2→1 sits between the floor (-105) and floor+15.
@@ -1156,14 +662,13 @@ mod tests {
         gains[1] = -60.0; // 0→1
         gains[2 * n + 1] = -117.0; // 2→1: rss = -102 dBm
         let delays = vec![50u64; n * n];
-        let sparse = MediumBuilder::new(&phy)
+        let m = MediumBuilder::new(&phy)
             .gains_db(n, &gains, &delays)
-            .sparse()
             .epsilon_db(15.0)
             .build();
-        assert_eq!(sparse.reachable(nid(2)), &[] as &[NodeId]);
-        assert_eq!(sparse.gain(nid(2), nid(1)).to_bits(), 0.0f64.to_bits());
-        let st = sparse.sparse_stats().unwrap();
+        assert_eq!(m.reachable(nid(2)), &[] as &[NodeId]);
+        assert_eq!(m.gain(nid(2), nid(1)).to_bits(), 0.0f64.to_bits());
+        let st = m.sparse_stats().unwrap();
         assert_eq!(st.pruned, 1);
         assert_eq!(st.epsilon_db.to_bits(), 15.0f64.to_bits());
         // Dropped -102 dBm against the noise floor: a small but nonzero
@@ -1173,34 +678,48 @@ mod tests {
     }
 
     #[test]
-    fn positions_build_matches_dense_materialisation() {
+    fn positions_build_matches_the_materialised_matrix() {
         let phy = PhyConfig::default();
-        // A 4-node square, 20 m sides; a pure path-loss model.
+        // A 4-node square, 20 m sides; a pure path-loss model, evaluated
+        // out past the diagonal so no pair is left to the tail.
         let pos = vec![(0.0, 0.0), (20.0, 0.0), (0.0, 20.0), (20.0, 20.0)];
         let model = |_tx: usize, _rx: usize, dist: f64| -propagation::path_loss_db(dist, 3.3);
-        let sparse = MediumBuilder::new(&phy)
+        let from_pos = MediumBuilder::new(&phy)
             .positions(pos.clone(), 100.0, -120.0, model)
             .build();
-        let dense = MediumBuilder::new(&phy)
-            .positions(pos, 100.0, -120.0, model)
-            .dense()
+        let n = pos.len();
+        let mut gains = vec![f64::NEG_INFINITY; n * n];
+        let mut delays = vec![0u64; n * n];
+        for tx in 0..n {
+            for rx in (0..n).filter(|&rx| rx != tx) {
+                let (ax, ay) = pos[tx];
+                let (bx, by) = pos[rx];
+                let dist = ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt();
+                gains[tx * n + rx] = model(tx, rx, dist);
+                delays[tx * n + rx] = propagation::propagation_delay_ns(dist);
+            }
+        }
+        let from_matrix = MediumBuilder::new(&phy)
+            .gains_db(n, &gains, &delays)
             .build();
-        assert_eq!(sparse.kind_name(), "sparse");
-        for tx in 0..4 {
-            assert_eq!(dense.reachable(nid(tx)), sparse.reachable(nid(tx)));
-            for &rx in dense.reachable(nid(tx)) {
+        assert_eq!(from_pos.sparse_stats().unwrap().tail_pairs, 0);
+        for tx in 0..n {
+            assert_eq!(from_matrix.reachable(nid(tx)), from_pos.reachable(nid(tx)));
+            for &rx in from_matrix.reachable(nid(tx)) {
                 assert_eq!(
-                    dense.gain(nid(tx), rx).to_bits(),
-                    sparse.gain(nid(tx), rx).to_bits()
+                    from_matrix.gain(nid(tx), rx).to_bits(),
+                    from_pos.gain(nid(tx), rx).to_bits()
                 );
-                assert_eq!(dense.delay_ns(nid(tx), rx), sparse.delay_ns(nid(tx), rx));
+                assert_eq!(
+                    from_matrix.delay_ns(nid(tx), rx),
+                    from_pos.delay_ns(nid(tx), rx)
+                );
             }
         }
     }
 
     #[test]
     fn grid_neighbors_match_brute_force() {
-        let phy = PhyConfig::default();
         // Deterministic pseudo-random scatter (LCG) over a 200×200 m box.
         let mut state = 0x2545_f491_4f6c_dd1du64;
         let mut next = || {
@@ -1210,14 +729,11 @@ mod tests {
             (state >> 33) as f64 / (1u64 << 31) as f64
         };
         let pos: Vec<(f64, f64)> = (0..80).map(|_| (next() * 200.0, next() * 200.0)).collect();
-        let model = |_: usize, _: usize, dist: f64| -propagation::path_loss_db(dist, 3.3);
-        let m = MediumBuilder::new(&phy)
-            .positions(pos.clone(), 60.0, -130.0, model)
-            .build();
+        let grid = Grid::build(&pos, 60.0);
         let mut out = Vec::new();
         for node in 0..pos.len() {
-            for radius in [10.0, 35.0, 59.0] {
-                m.neighbors_within(nid(node), radius, &mut out);
+            for radius in [10.0, 35.0, 59.0, 130.0] {
+                grid.neighbors_within(nid(node), radius, &mut out);
                 let brute: Vec<NodeId> = (0..pos.len())
                     .filter(|&o| o != node)
                     .filter(|&o| {
@@ -1230,22 +746,6 @@ mod tests {
                 assert_eq!(out, brute, "node {node} radius {radius}");
             }
         }
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_media() {
-        let phy = PhyConfig::default();
-        let a = MediumBuilder::new(&phy).uniform(3, -70.0).build();
-        let b = MediumBuilder::new(&phy).uniform(3, -70.0).build();
-        let c = MediumBuilder::new(&phy).uniform(3, -71.0).build();
-        let d = MediumBuilder::new(&phy).uniform(3, -70.0).sparse().build();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_ne!(a.fingerprint(), c.fingerprint());
-        assert_ne!(
-            a.fingerprint(),
-            d.fingerprint(),
-            "engine kind is part of identity"
-        );
     }
 
     #[test]

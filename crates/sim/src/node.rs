@@ -10,8 +10,7 @@
 //! The inner width is `u32`: a world of more than four billion nodes is
 //! far beyond any deployment this engine targets, and the narrower id
 //! halves the footprint of reachability lists and event records at
-//! city scale. Checkpoints keep serializing node ids as `u64` lengths
-//! (see `ckpt.rs`), so the on-disk format is unchanged by the width.
+//! city scale.
 
 use std::fmt;
 

@@ -16,23 +16,13 @@
 //!   interference-profile recycling).
 //! * The free list is LIFO and all allocation order is driven by the
 //!   deterministic event loop, so same-seed runs produce identical
-//!   `TxId` sequences and identical checkpoints.
+//!   `TxId` sequences.
 //! * Generations make stale handles loudly detectable in debug builds; the
 //!   release accounting (`ends_remaining`) guarantees no double-free — a
 //!   slot only returns to the free list when its last share is released.
-//!
-//! Checkpoint interaction (`cmap-ckpt/v2`): only *live* slots are
-//! serialised (as `(tx_id, metadata, bytes)` tuples, exactly the old
-//! `TxRecord` encoding). On restore each live slot is placed back at the
-//! index/generation its `TxId` encodes, and every other index below the
-//! saved pool capacity becomes free with generation 0. Free-slot
-//! generations are an allocation detail with no behavioural effect: no
-//! pending event references a freed slot, and `TxId` values are opaque to
-//! statistics and traces.
 
 use crate::event::TxId;
 use crate::node::NodeId;
-use crate::time::Time;
 use cmap_phy::Rate;
 
 /// One in-flight (or free) frame slot.
@@ -45,8 +35,6 @@ struct Slot {
     node: NodeId,
     /// Bit-rate of the transmission.
     rate: Rate,
-    /// When the transmission started.
-    start: Time,
     /// Outstanding releases: one per receiver `FrameEnd` plus one for the
     /// sender's `TxEnd`. Zero while free or not yet armed.
     ends_remaining: u32,
@@ -59,7 +47,6 @@ impl Slot {
             buf: Vec::new(),
             node: NodeId::new(0),
             rate: Rate::R6,
-            start: 0,
             ends_remaining: 0,
         }
     }
@@ -160,13 +147,12 @@ impl FramePool {
 
     /// Arm an allocated slot as an in-flight transmission with `ends`
     /// outstanding releases.
-    pub fn arm(&mut self, id: TxId, node: NodeId, rate: Rate, start: Time, ends: u32) {
+    pub fn arm(&mut self, id: TxId, node: NodeId, rate: Rate, ends: u32) {
         debug_assert!(ends > 0);
         let slot = self.slot_mut(id);
         debug_assert_eq!(slot.ends_remaining, 0, "re-arming a live transmission");
         slot.node = node;
         slot.rate = rate;
-        slot.start = start;
         slot.ends_remaining = ends;
     }
 
@@ -182,22 +168,10 @@ impl FramePool {
         self.slot(id).rate
     }
 
-    /// Transmission start time of a live slot.
-    #[inline]
-    pub fn start_of(&self, id: TxId) -> Time {
-        self.slot(id).start
-    }
-
     /// Serialised frame length of a live slot.
     #[inline]
     pub fn wire_len(&self, id: TxId) -> usize {
         self.slot(id).buf.len()
-    }
-
-    /// Outstanding releases of a live slot.
-    #[inline]
-    pub fn ends_of(&self, id: TxId) -> u32 {
-        self.slot(id).ends_remaining
     }
 
     fn free_slot(&mut self, index: usize) {
@@ -247,87 +221,6 @@ impl FramePool {
     pub fn bytes(&self) -> usize {
         self.slots.iter().map(|s| s.buf.capacity()).sum()
     }
-
-    // ---- cmap-ckpt/v2 ---------------------------------------------------
-
-    /// Slot-array length (the checkpoint's pool-capacity field).
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Handles of all live slots in ascending `TxId` order (the
-    /// checkpoint's deterministic transmission order).
-    pub fn live_ids(&self) -> Vec<TxId> {
-        let mut ids: Vec<TxId> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.ends_remaining > 0)
-            .map(|(i, s)| pack(s.gen, i))
-            .collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Begin a restore: `capacity` empty generation-0 slots, nothing live.
-    pub fn reset_for_restore(&mut self, capacity: usize) {
-        self.slots.clear();
-        self.slots.extend((0..capacity).map(|_| Slot::fresh()));
-        self.free.clear();
-        self.live = 0;
-        self.high_water = 0;
-        self.recycled = 0;
-    }
-
-    /// Place one checkpointed live transmission back at the index and
-    /// generation its `tx_id` encodes. Returns `false` on an out-of-range
-    /// index or a duplicate (already-live) slot.
-    pub fn restore_slot(
-        &mut self,
-        tx_id: TxId,
-        node: NodeId,
-        rate: Rate,
-        start: Time,
-        buf: Vec<u8>,
-        ends_remaining: u32,
-    ) -> bool {
-        let index = index_of(tx_id);
-        if index >= self.slots.len() || ends_remaining == 0 {
-            return false;
-        }
-        let slot = &mut self.slots[index];
-        if slot.ends_remaining != 0 {
-            return false;
-        }
-        *slot = Slot {
-            gen: (tx_id >> 32) as u32,
-            buf,
-            node,
-            rate,
-            start,
-            ends_remaining,
-        };
-        self.live += 1;
-        self.high_water = self.high_water.max(self.live);
-        true
-    }
-
-    /// Finish a restore: every non-live index becomes free, lowest index
-    /// first off the stack.
-    pub fn finish_restore(&mut self) {
-        self.free = (0..self.slots.len() as u32)
-            .rev()
-            .filter(|&i| self.slots[i as usize].ends_remaining == 0)
-            .collect();
-    }
-
-    /// Restore the lifetime counters (`pool.high_water` / `pool.recycled`
-    /// gauges must continue across a resume, not restart at the restore
-    /// point). The high-water mark is floored at the restored live count.
-    pub fn restore_counters(&mut self, high_water: usize, recycled: u64) {
-        self.high_water = high_water.max(self.live);
-        self.recycled = recycled;
-    }
 }
 
 #[cfg(test)]
@@ -339,7 +232,7 @@ mod tests {
         let mut p = FramePool::new();
         let a = p.alloc();
         p.buf_mut(a).extend_from_slice(&[1, 2, 3, 4, 5]);
-        p.arm(a, NodeId::new(0), Rate::R6, 0, 2);
+        p.arm(a, NodeId::new(0), Rate::R6, 2);
         assert_eq!(p.live(), 1);
         assert_eq!(p.buf(a), &[1, 2, 3, 4, 5]);
         p.release(a);
@@ -352,7 +245,7 @@ mod tests {
         assert_eq!(b & INDEX_MASK, a & INDEX_MASK);
         assert_ne!(b, a);
         assert!(p.buf_mut(b).capacity() >= 5, "capacity retained");
-        assert_eq!(p.capacity(), 1);
+        assert_eq!(p.slots.len(), 1);
         assert_eq!(p.high_water(), 1);
     }
 
@@ -361,15 +254,10 @@ mod tests {
         let mut p = FramePool::new();
         let ids: Vec<TxId> = (0..4).map(|_| p.alloc()).collect();
         for &id in &ids {
-            p.arm(id, NodeId::new(1), Rate::R12, 7, 1);
+            p.arm(id, NodeId::new(1), Rate::R12, 1);
         }
         assert_eq!(p.live(), 4);
         assert_eq!(p.high_water(), 4);
-        assert_eq!(p.live_ids(), {
-            let mut s = ids.clone();
-            s.sort_unstable();
-            s
-        });
         for &id in &ids {
             p.release(id);
         }
@@ -378,10 +266,10 @@ mod tests {
         // Steady state: churn at depth 1 never grows the slot array.
         for _ in 0..100 {
             let id = p.alloc();
-            p.arm(id, NodeId::new(0), Rate::R6, 0, 1);
+            p.arm(id, NodeId::new(0), Rate::R6, 1);
             p.release(id);
         }
-        assert_eq!(p.capacity(), 4);
+        assert_eq!(p.slots.len(), 4);
         assert_eq!(p.high_water(), 4);
     }
 
@@ -395,26 +283,5 @@ mod tests {
         assert_eq!(p.recycled(), 1);
         let again = p.alloc();
         assert!(p.buf_mut(again).capacity() >= 64);
-    }
-
-    #[test]
-    fn restore_places_slots_by_id_and_frees_the_rest() {
-        let mut p = FramePool::new();
-        p.reset_for_restore(4);
-        let id = pack(5, 2);
-        assert!(p.restore_slot(id, NodeId::new(3), Rate::R24, 99, vec![1, 2, 3], 2));
-        assert!(!p.restore_slot(id, NodeId::new(3), Rate::R24, 99, vec![], 2), "duplicate");
-        assert!(
-            !p.restore_slot(pack(1, 9), NodeId::new(0), Rate::R6, 0, vec![], 1),
-            "out of range"
-        );
-        p.finish_restore();
-        assert_eq!(p.live(), 1);
-        assert_eq!(p.node_of(id), NodeId::new(3));
-        assert_eq!(p.wire_len(id), 3);
-        assert_eq!(p.live_ids(), vec![id]);
-        // Lowest free index allocates first.
-        let next = p.alloc();
-        assert_eq!(index_of(next), 0);
     }
 }

@@ -38,7 +38,6 @@
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::ckpt::{CkptError, CkptReader, CkptWriter};
 use crate::config::PhyConfig;
 use crate::event::TxId;
 use crate::time::Time;
@@ -435,89 +434,6 @@ impl RadioBank {
         debug_assert!(was, "end_tx while not transmitting");
         self.state[node] &= !flag::TX;
         was
-    }
-
-    // ---- cmap-ckpt/v2 ---------------------------------------------------
-
-    /// Serialize every behavioural field. `spare_profile` is skipped on
-    /// purpose: parked buffer capacity is an allocation optimisation with
-    /// no effect on any simulated outcome.
-    pub(crate) fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.len(self.len());
-        for n in 0..self.len() {
-            w.u8(self.state[n]);
-            w.f64(self.energy_total[n]);
-            w.len(self.incoming[n].len());
-            for f in &self.incoming[n] {
-                w.u64(f.tx_id);
-                w.f64(f.power_mw);
-            }
-            match &self.lock[n] {
-                None => w.bool(false),
-                Some(lock) => {
-                    w.bool(true);
-                    w.u64(lock.tx_id);
-                    w.u64(lock.lock_time);
-                    w.f64(lock.signal_mw);
-                    w.len(lock.interference.len());
-                    for &(t, level) in &lock.interference {
-                        w.u64(t);
-                        w.f64(level);
-                    }
-                }
-            }
-            w.u64(self.aborted_rx[n]);
-        }
-    }
-
-    /// Rebuild a bank from [`RadioBank::ckpt_save`] output; `expect_nodes`
-    /// must match the world being restored into.
-    pub(crate) fn ckpt_load(
-        r: &mut CkptReader<'_>,
-        expect_nodes: usize,
-    ) -> Result<RadioBank, CkptError> {
-        let n = r.len()?;
-        if n != expect_nodes {
-            return Err(CkptError::Mismatch(format!(
-                "checkpoint has {n} radios, world has {expect_nodes}"
-            )));
-        }
-        let mut bank = RadioBank::new(n);
-        for node in 0..n {
-            bank.state[node] = r.u8()?;
-            bank.energy_total[node] = r.f64()?;
-            let frames = r.len()?;
-            bank.incoming[node].reserve(frames);
-            for _ in 0..frames {
-                bank.incoming[node].push(Incoming {
-                    tx_id: r.u64()?,
-                    power_mw: r.f64()?,
-                });
-            }
-            if r.bool()? {
-                let tx_id = r.u64()?;
-                let lock_time = r.u64()?;
-                let signal_mw = r.f64()?;
-                let profile_len = r.len()?;
-                let mut interference = Vec::with_capacity(profile_len);
-                for _ in 0..profile_len {
-                    interference.push((r.u64()?, r.f64()?));
-                }
-                bank.lock[node] = Some(RxLock {
-                    tx_id,
-                    lock_time,
-                    signal_mw,
-                    interference,
-                });
-            }
-            if (bank.state[node] & flag::LOCKED != 0) != bank.lock[node].is_some() {
-                return Err(CkptError::Malformed(format!(
-                    "radio {node} lock flag disagrees with lock record"
-                )));
-            }
-            bank.aborted_rx[node] = r.u64()?;
-        }
-        Ok(bank)
     }
 }
 

@@ -92,9 +92,8 @@ pub struct World {
 }
 
 /// Step-by-step [`World`] construction: medium, PHY, seed, and the
-/// optional pieces (fault plan, watchdog cadence, tracing) that used to
-/// require separate mutating calls between `World::new` and
-/// [`World::start`].
+/// optional pieces (fault plan, watchdog cadence, tracing) that must be
+/// in place before [`World::start`].
 ///
 /// ```
 /// use cmap_sim::{MediumBuilder, PhyConfig, World};
@@ -173,15 +172,6 @@ impl World {
     /// Start building a world (see [`WorldBuilder`]).
     pub fn builder() -> WorldBuilder {
         WorldBuilder::default()
-    }
-
-    /// Deprecated shim for the pre-builder constructor.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use World::builder().medium(..).phy(..).seed(..).build()"
-    )]
-    pub fn new(medium: Medium, phy: PhyConfig, seed: u64) -> World {
-        World::construct(medium, phy, seed)
     }
 
     /// Build a world over `medium`; every node starts with a [`NullMac`].
@@ -507,15 +497,13 @@ impl World {
                 self.dispatch(node, |mac, ctx| mac.on_tx_done(ctx));
                 self.check_channel_edge(node);
             }
-            Event::FrameStart { rx, tx_id } => {
-                let src = self.pool.node_of(tx_id);
-                let base_mw = match self.faults.as_deref_mut() {
-                    Some(f) => {
-                        let offset_db = f.link_offset_db(src, rx, self.time);
-                        self.medium.rss_mw_with_db_offset(src, rx, offset_db)
-                    }
-                    None => self.medium.rss_mw(src, rx),
-                };
+            Event::FrameStart { link, tx_id } => {
+                let rx = self.medium.link_rx(link);
+                let mut base_mw = self.medium.link_rss_mw(link);
+                if let Some(f) = self.faults.as_deref_mut() {
+                    let src = self.pool.node_of(tx_id);
+                    base_mw *= db_to_ratio(f.link_offset_db(src, rx, self.time));
+                }
                 let boost = if self.phy.fading_boost_prob > 0.0
                     && self.rngs[rx.index()].gen_bool(self.phy.fading_boost_prob)
                 {
@@ -804,15 +792,17 @@ impl World {
 
         let end = self.time + airtime;
         self.sched.schedule(end, Event::TxEnd { node, tx_id });
+        // Walk the transmitter's link row: each receiver's FrameStart
+        // carries the link index, so it reads its power without a lookup.
+        let links = self.medium.links(node);
         // One release per receiver FrameEnd plus one for our own TxEnd —
         // the record drains exactly when the air is clear everywhere.
-        let mut ends = 1;
+        let ends = 1 + (links.end - links.start);
         let (sched, medium, now) = (&mut self.sched, &self.medium, self.time);
-        for &rx in medium.reachable(node) {
-            let d = medium.delay_ns(node, rx);
-            sched.schedule(now + d, Event::FrameStart { rx, tx_id });
+        for link in links {
+            let (rx, d) = (medium.link_rx(link), medium.link_delay_ns(link));
+            sched.schedule(now + d, Event::FrameStart { link, tx_id });
             sched.schedule(end + d, Event::FrameEnd { rx, tx_id });
-            ends += 1;
         }
         if self.stats.trace_enabled() {
             let kind = FrameKind::from_u8(self.pool.buf(tx_id)[0])
@@ -827,7 +817,7 @@ impl World {
                 },
             );
         }
-        self.pool.arm(tx_id, node, rate, self.time, ends);
+        self.pool.arm(tx_id, node, rate, ends);
         self.stats.bump(CounterId::SimTx);
     }
 
@@ -873,279 +863,6 @@ impl World {
             self.radios.set_last_busy(node.index(), busy);
             self.dispatch(node, |mac, ctx| mac.on_channel_state(ctx, busy));
         }
-    }
-
-    // ---- cmap-ckpt/v2 ---------------------------------------------------
-
-    /// Serialize the complete mid-run state to the versioned `cmap-ckpt/v2`
-    /// format: simulation clock, timing-wheel contents, radio bank, RNG
-    /// stream positions, MAC protocol state, in-flight transmissions,
-    /// statistics, and fault-plan cursors. Restoring the bytes via
-    /// [`World::restore`] into an identically-configured world continues
-    /// the run **byte-identically** to never having stopped.
-    ///
-    /// Only callable between [`World::run_until`] calls on a started world;
-    /// configuration (medium, PHY, flows, MAC types, fault plan, watchdog)
-    /// is *not* captured — the restoring process rebuilds it and the
-    /// checkpoint validates that it matches.
-    pub fn checkpoint(&self) -> Result<Vec<u8>, crate::ckpt::CkptError> {
-        use crate::ckpt::{CkptError, CkptWriter};
-        if !self.started {
-            return Err(CkptError::Mismatch(
-                "checkpoint of a world that never started".to_string(),
-            ));
-        }
-        let mut w = CkptWriter::new();
-        // Configuration echo, validated on restore.
-        w.u64(self.seed);
-        w.len(self.node_count());
-        w.len(self.flows.len());
-        for f in &self.flows {
-            w.u16(f.id);
-            w.len(f.src.index());
-            w.len(f.dst.index());
-            w.len(f.payload_len);
-            match f.kind {
-                FlowKind::Saturated => w.u8(0),
-                FlowKind::Relay { upstream } => {
-                    w.u8(1);
-                    w.u16(upstream);
-                }
-            }
-            w.u32(f.next_seq);
-        }
-        w.u64(self.watchdog.audit_period);
-        w.u64(self.watchdog.liveness_window);
-        // v2: the medium's structural fingerprint, so a checkpoint refuses
-        // to restore over a world whose propagation engine or link set
-        // differs from the one it was taken under.
-        w.u64(self.medium.fingerprint());
-        match self.faults.as_deref() {
-            None => w.bool(false),
-            Some(f) => {
-                w.bool(true);
-                w.str(&f.plan.to_spec());
-            }
-        }
-        // Dynamic engine state. (The u64 after the clock held the next tx
-        // id before the frame pool; it now carries the pool's slot-array
-        // capacity so restore rebuilds an identically-shaped free list.)
-        w.u64(self.time);
-        w.u64(self.pool.capacity() as u64);
-        w.u64(self.pool.high_water() as u64);
-        w.u64(self.pool.recycled());
-        w.u64(self.ber_lookups);
-        w.u64(self.synced_events);
-        w.u64(self.synced_lookups);
-        w.u64(self.synced_cascades);
-        self.sched.ckpt_save(&mut w);
-        self.radios.ckpt_save(&mut w);
-        for rng in &self.rngs {
-            for word in rng.state() {
-                w.u64(word);
-            }
-        }
-        for app in &self.apps {
-            app.ckpt_save(&mut w);
-        }
-        let live = self.pool.live_ids();
-        w.len(live.len());
-        for tx_id in live {
-            w.u64(tx_id);
-            w.len(self.pool.node_of(tx_id).index());
-            w.u8(self.pool.rate_of(tx_id).to_u8());
-            w.u64(self.pool.start_of(tx_id));
-            w.bytes(self.pool.buf(tx_id));
-            w.len(self.pool.wire_len(tx_id));
-            w.u32(self.pool.ends_of(tx_id));
-        }
-        self.stats.ckpt_save(&mut w)?;
-        if let Some(f) = self.faults.as_deref() {
-            f.ckpt_save(&mut w);
-        }
-        // Per-MAC protocol state, length-framed so each MAC only sees its
-        // own blob.
-        let mut blob = Vec::new();
-        for (node, mac) in self.macs.iter().enumerate() {
-            blob.clear();
-            mac.as_deref()
-                .unwrap_or_else(|| panic!("mac {node} taken during checkpoint"))
-                .save_state(&mut blob);
-            w.bytes(&blob);
-        }
-        Ok(w.finish())
-    }
-
-    /// Restore a [`World::checkpoint`] into this world, which must be
-    /// configured identically (same medium/PHY/seed, same flows, same MAC
-    /// types, same fault plan and watchdog) and **not yet started**. On
-    /// success the world is mid-run exactly as the checkpointed one was;
-    /// continue with [`World::run_until`]. Do not call [`World::start`] —
-    /// the restored wheel already carries every pending event.
-    ///
-    /// On error the world may be partially overwritten and must be
-    /// discarded.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), crate::ckpt::CkptError> {
-        use crate::ckpt::{CkptError, CkptReader};
-        if self.started {
-            return Err(CkptError::Mismatch(
-                "restore into an already-started world".to_string(),
-            ));
-        }
-        let mut r = CkptReader::new(bytes)?;
-        let seed = r.u64()?;
-        if seed != self.seed {
-            return Err(CkptError::Mismatch(format!(
-                "checkpoint seed {seed} != world seed {}",
-                self.seed
-            )));
-        }
-        let nodes = r.len()?;
-        if nodes != self.node_count() {
-            return Err(CkptError::Mismatch(format!(
-                "checkpoint has {nodes} nodes, world has {}",
-                self.node_count()
-            )));
-        }
-        let flow_count = r.len()?;
-        if flow_count != self.flows.len() {
-            return Err(CkptError::Mismatch(format!(
-                "checkpoint has {flow_count} flows, world has {}",
-                self.flows.len()
-            )));
-        }
-        for f in &mut self.flows {
-            let id = r.u16()?;
-            let src = NodeId::new(r.len()?);
-            let dst = NodeId::new(r.len()?);
-            let payload_len = r.len()?;
-            let kind = match r.u8()? {
-                0 => FlowKind::Saturated,
-                1 => FlowKind::Relay { upstream: r.u16()? },
-                other => {
-                    return Err(CkptError::Malformed(format!("flow kind tag {other}")));
-                }
-            };
-            if (id, src, dst, payload_len, kind) != (f.id, f.src, f.dst, f.payload_len, f.kind) {
-                return Err(CkptError::Mismatch(format!(
-                    "flow {id} configuration differs from checkpoint"
-                )));
-            }
-            f.next_seq = r.u32()?;
-        }
-        let audit_period = r.u64()?;
-        let liveness_window = r.u64()?;
-        if audit_period != self.watchdog.audit_period
-            || liveness_window != self.watchdog.liveness_window
-        {
-            return Err(CkptError::Mismatch(
-                "watchdog configuration differs from checkpoint".to_string(),
-            ));
-        }
-        let fingerprint = r.u64()?;
-        if fingerprint != self.medium.fingerprint() {
-            return Err(CkptError::Mismatch(format!(
-                "checkpoint medium fingerprint {fingerprint:#018x} != world {:#018x}",
-                self.medium.fingerprint()
-            )));
-        }
-        let ckpt_has_faults = r.bool()?;
-        if ckpt_has_faults != self.faults.is_some() {
-            return Err(CkptError::Mismatch(
-                "fault plan presence differs from checkpoint".to_string(),
-            ));
-        }
-        if ckpt_has_faults {
-            let spec = r.str()?;
-            let installed = self.faults.as_deref().expect("checked").plan.to_spec();
-            if spec != installed {
-                return Err(CkptError::Mismatch(
-                    "fault plan differs from checkpoint".to_string(),
-                ));
-            }
-        }
-        self.time = r.u64()?;
-        let pool_capacity = r.u64()?;
-        // 2^24 in-flight slots is far beyond any reachable state; larger
-        // values mean a corrupt checkpoint, not a big run.
-        if pool_capacity > (1 << 24) {
-            return Err(CkptError::Malformed(format!(
-                "frame-pool capacity {pool_capacity}"
-            )));
-        }
-        self.pool.reset_for_restore(pool_capacity as usize);
-        let pool_high_water = r.u64()?;
-        let pool_recycled = r.u64()?;
-        self.ber_lookups = r.u64()?;
-        self.synced_events = r.u64()?;
-        self.synced_lookups = r.u64()?;
-        self.synced_cascades = r.u64()?;
-        self.sched = Scheduler::ckpt_load(&mut r)?;
-        self.radios = RadioBank::ckpt_load(&mut r, self.node_count())?;
-        for rng in &mut self.rngs {
-            let mut words = [0u64; 4];
-            for word in &mut words {
-                *word = r.u64()?;
-            }
-            *rng = SmallRng::from_state(words);
-        }
-        for app in &mut self.apps {
-            app.ckpt_load(&mut r)?;
-        }
-        let tx_count = r.len()?;
-        for _ in 0..tx_count {
-            let tx_id = r.u64()?;
-            let node = r.len()?;
-            if node >= self.node_count() {
-                return Err(CkptError::Malformed(format!("tx node {node}")));
-            }
-            let node = NodeId::new(node);
-            let rate_tag = r.u8()?;
-            let rate = Rate::from_u8(rate_tag)
-                .ok_or_else(|| CkptError::Malformed(format!("rate tag {rate_tag}")))?;
-            let start = r.u64()?;
-            let frame_bytes = r.bytes()?.to_vec();
-            Frame::parse(&frame_bytes)
-                .map_err(|e| CkptError::Malformed(format!("tx {tx_id} frame: {e:?}")))?;
-            let wire_len = r.len()?;
-            let ends_remaining = r.u32()?;
-            if wire_len != frame_bytes.len() {
-                return Err(CkptError::Malformed(format!(
-                    "tx {tx_id} wire_len {wire_len} != {} frame bytes",
-                    frame_bytes.len()
-                )));
-            }
-            if !self
-                .pool
-                .restore_slot(tx_id, node, rate, start, frame_bytes, ends_remaining)
-            {
-                return Err(CkptError::Malformed(format!("bad or duplicate tx {tx_id}")));
-            }
-        }
-        self.pool.finish_restore();
-        self.pool
-            .restore_counters(pool_high_water as usize, pool_recycled);
-        // The perf-totals sync point follows the restored counter so the
-        // next `run_until` only publishes post-restore recycle deltas.
-        self.synced_pool_recycled = self.pool.recycled();
-        self.stats = Stats::ckpt_load(&mut r)?;
-        if let Some(f) = self.faults.as_deref_mut() {
-            f.ckpt_load(&mut r)?;
-        }
-        for node in 0..self.node_count() {
-            let blob = r.bytes()?;
-            self.macs[node]
-                .as_deref_mut()
-                .unwrap_or_else(|| panic!("mac {node} taken during restore"))
-                .load_state(blob)
-                .map_err(|e| CkptError::Mismatch(format!("node {node} MAC state: {e}")))?;
-        }
-        r.expect_end()?;
-        // Mid-run: `start` must never fire again (the restored wheel
-        // already carries the fault schedule, audits and MAC timers).
-        self.started = true;
-        self.stats.ensure_flows(self.flows.len());
-        Ok(())
     }
 }
 

@@ -564,8 +564,7 @@ impl<'a> FrameView<'a> {
         }
     }
 
-    /// Materialise the owned [`Frame`] (slow path: tests, checkpoints,
-    /// diagnostics).
+    /// Materialise the owned [`Frame`] (slow path: tests, diagnostics).
     pub fn to_frame(&self) -> Frame {
         match self {
             FrameView::CmapHeader(v) => Frame::CmapHeader(v.to_body()),

@@ -1,16 +1,21 @@
-//! Medium-engine equivalence gates.
+//! Medium correctness gates.
 //!
-//! The sparse spatially-indexed medium is only allowed to be *faster*
-//! than the dense matrix, never *different* where it claims exactness:
+//! The medium stores only the links that clear the pruning threshold, so
+//! it is checked against a brute-force oracle over the *input matrix*,
+//! never against another engine:
 //!
-//! 1. With `epsilon_db = 0` over the same gain matrix, every query the
-//!    [`Propagation`] API answers — gains, delays, reachability — must be
-//!    bit-for-bit identical to the dense engine (property-tested over
-//!    random topologies up to 64 nodes), and a full same-seed simulation
-//!    over both engines must leave byte-identical statistics.
-//! 2. The 50-node dense path itself is pinned: the office-floor
-//!    scenario's `Stats::snapshot()` must hash to the committed baseline
-//!    in `tests/data/dense50_snapshot.fnv`. Any byte drift on the
+//! 1. With `epsilon_db = 0`, the stored link set is exactly the pairs
+//!    whose received power reaches the delivery floor, with gains
+//!    bit-equal to the matrix entry's linear value and delays equal to
+//!    the matrix delays (property-tested over random topologies up to 64
+//!    nodes), and nothing is reported pruned.
+//! 2. With `epsilon_db > 0`, a pair is kept exactly when it clears
+//!    `floor + epsilon`, `pruned` counts exactly the pairs in
+//!    `[floor, floor + epsilon)`, and the recorded error bound is the
+//!    worst per-receiver sum of their power.
+//! 3. The 50-node testbed path is pinned: the office-floor scenario's
+//!    `Stats::snapshot()` must hash to the committed baseline in
+//!    `tests/data/dense50_snapshot.fnv`. Any byte drift on the
 //!    testbed-scale path — however the medium internals are refactored —
 //!    fails here before it can silently invalidate published figures.
 
@@ -18,15 +23,18 @@ use proptest::prelude::*;
 
 use cmap_suite::experiments::{runner, Protocol, Spec};
 use cmap_suite::obs::fnv1a64;
+use cmap_suite::phy::dbm_to_mw;
+use cmap_suite::phy::units::db_to_ratio;
 use cmap_suite::prelude::*;
 use cmap_suite::sim::rng::stream_rng;
-use cmap_suite::sim::time::{millis, secs};
+use cmap_suite::sim::time::secs;
 use cmap_suite::topo::select;
 
 /// A random directed gain/delay matrix: mostly disconnected, with a
-/// band of plausible link gains where connected. (Built on the vendored
-/// stub's `FnStrategy`, since the matrix size depends on the drawn `n`.)
-fn topology() -> impl Strategy<Value = (usize, Vec<f64>, Vec<u64>)> {
+/// band of plausible link gains where connected, plus a pruning margin
+/// in `(0, 20]` dB. (Built on the vendored stub's `FnStrategy`, since
+/// the matrix size depends on the drawn `n`.)
+fn topology() -> impl Strategy<Value = (usize, Vec<f64>, Vec<u64>, f64)> {
     proptest::strategy::FnStrategy(|rng: &mut proptest::test_runner::TestRng| {
         let n = 2 + rng.below(63) as usize;
         let mut gains = Vec::with_capacity(n * n);
@@ -42,94 +50,130 @@ fn topology() -> impl Strategy<Value = (usize, Vec<f64>, Vec<u64>)> {
             gains[i * n + i] = f64::NEG_INFINITY;
             delays[i * n + i] = 0;
         }
-        (n, gains, delays)
+        let epsilon_db = 20.0 * (1.0 - rng.unit_f64());
+        (n, gains, delays, epsilon_db)
     })
 }
 
-fn engines(n: usize, gains: &[f64], delays: &[u64]) -> (Medium, Medium) {
+/// What the medium must hold for a gain matrix, computed pair by pair:
+/// the kept receivers per transmitter, the pruned-pair count and the
+/// error bound (pruned power summed per receiver in transmitter order,
+/// worst receiver against the noise floor).
+struct Oracle {
+    kept: Vec<Vec<NodeId>>,
+    pruned: u64,
+    error_bound_db: f64,
+}
+
+fn oracle(n: usize, gains: &[f64], epsilon_db: f64) -> Oracle {
     let phy = PhyConfig::default();
-    let dense = MediumBuilder::new(&phy)
+    let tx_power_mw = dbm_to_mw(phy.tx_power_dbm);
+    let floor_mw = dbm_to_mw(phy.delivery_floor_dbm);
+    let threshold_mw = floor_mw * db_to_ratio(epsilon_db);
+    let mut kept = vec![Vec::new(); n];
+    let mut pruned = 0;
+    let mut dropped_mw = vec![0.0f64; n];
+    for tx in 0..n {
+        for rx in (0..n).filter(|&rx| rx != tx) {
+            let rss = tx_power_mw * dbm_to_mw(gains[tx * n + rx]);
+            if rss >= threshold_mw {
+                kept[tx].push(NodeId::new(rx));
+            } else if rss >= floor_mw {
+                pruned += 1;
+                dropped_mw[rx] += rss;
+            }
+        }
+    }
+    let worst = dropped_mw.iter().fold(0.0f64, |a, &b| a.max(b));
+    Oracle {
+        kept,
+        pruned,
+        error_bound_db: 10.0 * (1.0 + worst / phy.noise_mw()).log10(),
+    }
+}
+
+fn build(n: usize, gains: &[f64], delays: &[u64], epsilon_db: f64) -> Medium {
+    MediumBuilder::new(&PhyConfig::default())
+        .epsilon_db(epsilon_db)
         .gains_db(n, gains, delays)
-        .dense()
-        .build();
-    let sparse = MediumBuilder::new(&phy)
-        .epsilon_db(0.0)
-        .gains_db(n, gains, delays)
-        .sparse()
-        .build();
-    (dense, sparse)
+        .build()
+}
+
+/// Check `medium` against the oracle for the matrix it was built from.
+fn check_against_matrix(
+    medium: &Medium,
+    n: usize,
+    gains: &[f64],
+    delays: &[u64],
+    epsilon_db: f64,
+) -> Result<(), TestCaseError> {
+    let want = oracle(n, gains, epsilon_db);
+    prop_assert_eq!(medium.len(), n);
+    let mut links = 0u64;
+    for tx in 0..n {
+        let tx_id = NodeId::new(tx);
+        prop_assert_eq!(
+            medium.reachable(tx_id),
+            &want.kept[tx][..],
+            "reachable({})",
+            tx
+        );
+        links += medium.reachable(tx_id).len() as u64;
+        for &rx in medium.reachable(tx_id) {
+            let i = tx * n + rx.index();
+            prop_assert_eq!(
+                medium.gain(tx_id, rx).to_bits(),
+                dbm_to_mw(gains[i]).to_bits(),
+                "gain({}, {})",
+                tx,
+                rx
+            );
+            prop_assert_eq!(
+                medium.delay_ns(tx_id, rx),
+                delays[i],
+                "delay({}, {})",
+                tx,
+                rx
+            );
+        }
+    }
+    let st = medium
+        .sparse_stats()
+        .expect("every medium records its pruning");
+    prop_assert_eq!(st.links, links);
+    prop_assert_eq!(st.pruned, want.pruned);
+    prop_assert_eq!(st.tail_pairs, 0);
+    prop_assert_eq!(st.epsilon_db.to_bits(), epsilon_db.to_bits());
+    prop_assert_eq!(st.error_bound_db.to_bits(), want.error_bound_db.to_bits());
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// At epsilon 0 the medium is bitwise the input matrix's above-floor
+    /// entries.
     #[test]
-    fn sparse_epsilon_zero_is_bitwise_dense((n, gains, delays) in topology()) {
-        let (dense, sparse) = engines(n, &gains, &delays);
-        prop_assert_eq!(dense.len(), n);
-        prop_assert_eq!(sparse.len(), n);
-        for tx in 0..n {
-            let tx = NodeId::new(tx);
-            // The exactness contract is over the kept link set: identical
-            // reachability, and bit-identical gain/delay on every kept
-            // link. (Sub-floor pairs are dropped by the sparse engine and
-            // answered as gain 0 — the dense engine keeps the raw matrix
-            // value there, but no simulation path consults it.)
-            prop_assert_eq!(dense.reachable(tx), sparse.reachable(tx), "reachable({})", tx);
-            for &rx in dense.reachable(tx) {
-                prop_assert_eq!(
-                    dense.gain(tx, rx).to_bits(),
-                    sparse.gain(tx, rx).to_bits(),
-                    "gain({}, {})", tx, rx
-                );
-                prop_assert_eq!(
-                    dense.delay_ns(tx, rx),
-                    sparse.delay_ns(tx, rx),
-                    "delay({}, {})", tx, rx
-                );
-            }
-        }
+    fn sparse_epsilon_zero_is_bitwise_dense((n, gains, delays, _eps) in topology()) {
+        let medium = build(n, &gains, &delays, 0.0);
+        check_against_matrix(&medium, n, &gains, &delays, 0.0)?;
+        let st = medium.sparse_stats().unwrap();
+        prop_assert_eq!(st.pruned, 0);
+        prop_assert_eq!(st.error_bound_db.to_bits(), 0.0f64.to_bits());
     }
-}
 
-/// Engineered 4-node exposed-terminal run over a given medium.
-fn run_engine(medium: Medium, seed: u64) -> String {
-    let phy = PhyConfig::default();
-    let mut w = World::builder().medium(medium).phy(phy).seed(seed).build();
-    w.add_flow(0, 1, 1400);
-    w.add_flow(2, 3, 1400);
-    for node in 0..4usize {
-        w.set_mac(node, Box::new(CmapMac::new(CmapConfig::default())));
+    /// With a positive margin, exactly the `[floor, floor + epsilon)` band
+    /// is pruned and accounted.
+    #[test]
+    fn epsilon_prunes_exactly_the_band_above_the_floor((n, gains, delays, eps) in topology()) {
+        let medium = build(n, &gains, &delays, eps);
+        check_against_matrix(&medium, n, &gains, &delays, eps)?;
     }
-    w.run_until(millis(500));
-    w.stats().snapshot()
-}
-
-#[test]
-fn same_seed_sim_is_byte_identical_across_engines() {
-    let phy = PhyConfig::default();
-    let n = 4;
-    let mut gains = vec![f64::NEG_INFINITY; n * n];
-    let mut set = |a: usize, b: usize, rss_dbm: f64| {
-        gains[a * n + b] = rss_dbm - phy.tx_power_dbm;
-        gains[b * n + a] = rss_dbm - phy.tx_power_dbm;
-    };
-    set(0, 1, -60.0);
-    set(2, 3, -60.0);
-    set(0, 2, -75.0);
-    set(0, 3, -93.0);
-    set(2, 1, -93.0);
-    let delays = vec![100u64; n * n];
-    let (dense, sparse) = engines(n, &gains, &delays);
-    let a = run_engine(dense, 7);
-    let b = run_engine(sparse, 7);
-    assert!(!a.is_empty(), "snapshot recorded nothing");
-    assert_eq!(a, b, "engines diverged under identical seed and topology");
 }
 
 /// The 50-node office-floor scenario the committed baseline pins: the
 /// same spec/seed/flows `determinism_snapshot.rs` exercises, run over
-/// the dense testbed medium.
+/// the testbed's gain-matrix medium.
 fn dense50_snapshot() -> String {
     let spec = Spec {
         duration: secs(5),

@@ -1,6 +1,6 @@
-//! Frame-pool soak: sustained CMAP traffic with crash/restart churn, frame
-//! corruption and duplication faults, and a checkpoint/restore taken with
-//! frames in flight. The pool must neither leak (the high-water mark stays
+//! Frame-pool soak: sustained CMAP traffic with crash/restart churn and
+//! frame corruption and duplication faults, in one continuous run. The
+//! pool must neither leak (the high-water mark stays
 //! bounded by the radio population — at most one transmission per node plus
 //! propagation stragglers) nor double-free (debug assertions in the pool
 //! fire on stale handles), and once every radio quiesces the live-slot
@@ -55,6 +55,8 @@ fn build_soak_world(spec: &Spec, run_seed: u64) -> World {
     world
 }
 
+/// Crashed nodes are restored to service mid-run and every node is taken
+/// down for the quiesce; the pool must drain through both.
 #[test]
 fn pool_drains_to_zero_after_churn_and_restore() {
     let spec = Spec {
@@ -62,48 +64,35 @@ fn pool_drains_to_zero_after_churn_and_restore() {
         configs: 2,
         ..Spec::default()
     };
-
-    // Phase 1: run to mid-flight and checkpoint with slots live.
     let mut w = build_soak_world(&spec, 21);
+
+    // Mid-run: the pool is cycling slots at full traffic.
     w.run_until(secs(2));
     assert!(w.pool_high_water() > 0, "no transmissions recorded");
+    let recycled_mid = w.pool_recycled();
+    assert!(recycled_mid > 1000, "pool barely cycled: {recycled_mid}");
+
+    // Soak to the end of the faulted run, then through the all-nodes-down
+    // quiesce window.
+    w.run_until(spec.duration);
+    assert_eq!(w.watchdog_violations(), 0, "watchdog violations");
     assert!(
-        w.pool_recycled() > 1000,
-        "pool barely cycled: {}",
-        w.pool_recycled()
+        w.pool_recycled() > recycled_mid,
+        "no recycling in the second half"
     );
-    let ckpt = w.checkpoint().expect("checkpoint at mid-run");
-    let live_at_ckpt = w.pool_frames_live();
-    let recycled_at_ckpt = w.pool_recycled();
-
-    // Phase 2: restore into a fresh world; the counters continue and the
-    // restored live set matches the checkpointed one.
-    let mut r = build_soak_world(&spec, 21);
-    r.restore(&ckpt).expect("restore");
-    assert_eq!(r.pool_frames_live(), live_at_ckpt);
-    assert_eq!(r.pool_recycled(), recycled_at_ckpt);
-
-    // Phase 3: soak to the end of the faulted run, then through the
-    // all-nodes-down quiesce window.
-    r.run_until(spec.duration);
-    assert_eq!(r.watchdog_violations(), 0, "watchdog violations");
 
     // No leak: one slot per node at the half-duplex limit, plus a little
     // headroom for propagation-delay stragglers.
     assert!(
-        r.pool_high_water() <= 2 * r.node_count(),
+        w.pool_high_water() <= 2 * w.node_count(),
         "pool high water {} exceeds the in-flight bound for {} nodes",
-        r.pool_high_water(),
-        r.node_count()
+        w.pool_high_water(),
+        w.node_count()
     );
     // Quiesced: every claimed slot was released exactly once.
     assert_eq!(
-        r.pool_frames_live(),
+        w.pool_frames_live(),
         0,
         "live slots remain after quiesce (leak)"
-    );
-    assert!(
-        r.pool_recycled() > recycled_at_ckpt,
-        "no recycling after restore"
     );
 }
