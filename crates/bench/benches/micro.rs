@@ -33,6 +33,32 @@ fn bench_event_queue(c: &mut Criterion) {
             black_box(last)
         })
     });
+    // The engine's real pattern: a MAC timer ~1 s out is staged as soon as
+    // the queue drains to it, and every event handlers then schedule a few
+    // ms past the last popped time takes the merge path ahead of it.
+    c.bench_function("scheduler_far_anchor_interleaved", |b| {
+        let timer = |token| Event::Timer {
+            node: 0.into(),
+            token,
+        };
+        let offset = |i: u64| (i * 7_919_003) % 10_000_000;
+        b.iter(|| {
+            let mut s = Scheduler::new();
+            s.schedule(secs(1), timer(u64::MAX));
+            for i in 0..256u64 {
+                s.schedule(offset(i), timer(i));
+            }
+            for i in 256..10_256u64 {
+                let (t, _) = s.pop().unwrap();
+                s.schedule(t + offset(i), timer(i));
+            }
+            let mut last = 0;
+            while let Some((t, _)) = s.pop() {
+                last = t;
+            }
+            black_box(last)
+        })
+    });
 }
 
 fn bench_defer_table(c: &mut Criterion) {

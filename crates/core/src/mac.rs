@@ -431,7 +431,16 @@ impl CmapMac {
         let me = ctx.mac_addr();
         let tx_time_us = ns_to_us_ceil(remaining);
         let sent = ctx.transmit_with(self.cfg.control_rate, |buf| {
-            compose::header_trailer(buf, FrameKind::CmapHeader, me, dst, tx_time_us, seq, count, rate);
+            compose::header_trailer(
+                buf,
+                FrameKind::CmapHeader,
+                me,
+                dst,
+                tx_time_us,
+                seq,
+                count,
+                rate,
+            );
         });
         if sent {
             self.in_flight = Some(InFlight::Header);
@@ -457,7 +466,17 @@ impl CmapMac {
         };
         let me = ctx.mac_addr();
         let sent = ctx.transmit_with(rate, |buf| {
-            compose::cmap_data(buf, me, dst, seq, idx as u8, p.flow, p.flow_seq, p.payload_len, 0xC5);
+            compose::cmap_data(
+                buf,
+                me,
+                dst,
+                seq,
+                idx as u8,
+                p.flow,
+                p.flow_seq,
+                p.payload_len,
+                0xC5,
+            );
         });
         if sent {
             self.in_flight = Some(InFlight::Data { idx });
@@ -480,7 +499,16 @@ impl CmapMac {
         };
         let me = ctx.mac_addr();
         let sent = ctx.transmit_with(self.cfg.control_rate, |buf| {
-            compose::header_trailer(buf, FrameKind::CmapTrailer, me, dst, tx_time_us, seq, count, rate);
+            compose::header_trailer(
+                buf,
+                FrameKind::CmapTrailer,
+                me,
+                dst,
+                tx_time_us,
+                seq,
+                count,
+                rate,
+            );
         });
         if sent {
             self.in_flight = Some(InFlight::Trailer);

@@ -216,7 +216,18 @@ impl DcfMac {
         };
         let me = ctx.mac_addr();
         let sent = ctx.transmit_with(self.cfg.rate, |buf| {
-            compose::dot11_data(buf, me, dst, seq, retry, duration, flow, flow_seq, payload_len, 0xC5);
+            compose::dot11_data(
+                buf,
+                me,
+                dst,
+                seq,
+                retry,
+                duration,
+                flow,
+                flow_seq,
+                payload_len,
+                0xC5,
+            );
         });
         if sent {
             self.state = TxState::Transmitting;

@@ -10,16 +10,22 @@
 //! resolution still separates it from the wheel's current position; when a
 //! ring drains, the next occupied higher-level bucket *cascades* — its
 //! events re-file into finer rings. Per-level occupancy bitmaps make
-//! advancing over empty time O(1) per ring, so `schedule`/`pop` are O(1)
-//! amortized where the old `BinaryHeap` paid O(log n) — at 50M-event
-//! figures the difference is measurable. The far-future fallback is the top
-//! ring, whose buckets span ~52 days of simulated time.
+//! advancing over empty time O(1) per ring, so filing an event and popping
+//! the staged bucket are O(1). The far-future fallback is the top ring,
+//! whose buckets span ~52 days of simulated time.
 //!
 //! Exactness is never traded for speed: a drained bucket is sorted by
 //! `(time, seq)` before its events pop, and an event scheduled at or before
-//! the wheel's current position is merge-inserted into the sorted drain
-//! buffer, so the pop order is *identical* to the heap's — property-tested
-//! against a reference heap in `tests/engine_props.rs`.
+//! the wheel's current position goes into a merge buffer beside it; each
+//! pop takes the earlier of the two heads, so the pop order is *identical*
+//! to a heap's — property-tested against a reference heap in
+//! `tests/engine_props.rs`.
+//!
+//! The wheel stages the next occupied bucket as soon as the current one
+//! drains, so its position can run a whole MAC timer period (milliseconds
+//! to a second) ahead of simulated time, and everything handlers schedule
+//! before that staged tick takes the merge path. The merge buffer is
+//! therefore built to stay cheap however deep it gets: see [`MergeBuffer`].
 
 use crate::time::Time;
 use crate::world::NodeId;
@@ -92,6 +98,109 @@ struct Scheduled {
     event: Event,
 }
 
+impl Scheduled {
+    /// `(at, seq)` packed into one integer with the same order.
+    fn key(&self) -> u128 {
+        (u128::from(self.at) << 64) | u128::from(self.seq)
+    }
+}
+
+/// An overflow-heap entry, ordered so that `BinaryHeap`'s maximum is the
+/// earliest `(at, seq)`. `seq` is unique, so the key alone decides equality.
+#[derive(Debug, Clone, Copy)]
+struct Overflow(Scheduled);
+
+impl PartialEq for Overflow {
+    fn eq(&self, other: &Overflow) -> bool {
+        self.0.key() == other.0.key()
+    }
+}
+
+impl Eq for Overflow {}
+
+impl PartialOrd for Overflow {
+    fn partial_cmp(&self, other: &Overflow) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Overflow {
+    fn cmp(&self, other: &Overflow) -> std::cmp::Ordering {
+        other.0.key().cmp(&self.0.key())
+    }
+}
+
+/// Deepest a merge may land in the sorted run, counted from its tail;
+/// deeper merges go to the overflow heap. Bounds a merge's move to 2 KiB.
+const RUN_SLACK: usize = 64;
+/// The run drops its popped prefix once that holds this many entries and
+/// no fewer than the live part (amortized O(1) per pop); it also empties
+/// whenever it drains.
+const RUN_DEAD_MAX: usize = 32;
+
+/// Events scheduled at or before the wheel's staged tick, in `(at, seq)`
+/// order.
+///
+/// Handlers mostly schedule at or near the latest time already pending
+/// (a frame's end after its start), so most merges land within a few
+/// entries of the tail of a sorted run, and pops take its head in O(1). A
+/// merge that would land more than [`RUN_SLACK`] entries from the tail
+/// goes to an overflow heap instead. Every merge therefore costs O(log m)
+/// compares plus a bounded move, however many events wait ahead of a far
+/// staged timer (thousands, in a city-scale CMAP run).
+#[derive(Debug, Default)]
+struct MergeBuffer {
+    /// Sorted; entries before `head` have popped.
+    run: Vec<Scheduled>,
+    head: usize,
+    overflow: std::collections::BinaryHeap<Overflow>,
+}
+
+impl MergeBuffer {
+    fn is_empty(&self) -> bool {
+        self.head == self.run.len() && self.overflow.is_empty()
+    }
+
+    /// Key of the earliest event, or `u128::MAX` when empty (no event has
+    /// that key: it would need `seq == u64::MAX`).
+    fn peek_key(&self) -> u128 {
+        let run = self.run.get(self.head).map_or(u128::MAX, Scheduled::key);
+        self.overflow.peek().map_or(run, |o| run.min(o.0.key()))
+    }
+
+    fn push(&mut self, s: Scheduled) {
+        if self.head >= RUN_DEAD_MAX && self.head * 2 >= self.run.len() {
+            self.run.drain(..self.head);
+            self.head = 0;
+        }
+        let key = s.key();
+        let pos = self.head + self.run[self.head..].partition_point(|p| p.key() < key);
+        if self.run.len() - pos <= RUN_SLACK {
+            self.run.insert(pos, s);
+        } else {
+            self.overflow.push(Overflow(s));
+        }
+    }
+
+    /// Remove the earliest event if its key is below `bound`.
+    fn pop_before(&mut self, bound: u128) -> Option<Scheduled> {
+        let run = self.run.get(self.head).map_or(u128::MAX, Scheduled::key);
+        match self.overflow.peek() {
+            Some(o) if o.0.key() < run.min(bound) => self.overflow.pop().map(|o| o.0),
+            _ if run < bound => {
+                let s = self.run[self.head];
+                self.head += 1;
+                if self.head == self.run.len() {
+                    self.run.clear();
+                    self.head = 0;
+                }
+                Some(s)
+            }
+            _ => None,
+        }
+    }
+}
+
 /// Nanoseconds per wheel tick (level-0 bucket width): ~1 µs.
 const TICK_BITS: u32 = 10;
 /// Level-0 bucket width in nanoseconds.
@@ -124,14 +233,17 @@ pub struct Scheduler {
     buckets: Box<[Vec<Scheduled>]>,
     /// One occupancy bitmap per ring.
     occupied: [[u64; BITMAP_WORDS]; LEVELS],
-    /// Tick of the bucket currently drained into `cur`. Events at ticks
-    /// `<= now_tick` bypass the wheel and merge straight into `cur`.
+    /// Tick of the bucket currently staged in `cur`. Events at ticks
+    /// `<= now_tick` bypass the wheel and go into `merged`.
     now_tick: u64,
-    /// Sorted drain buffer: the current bucket's events in `(at, seq)`
-    /// order, consumed from `cur_pos`. Invariant: whenever `len > 0`,
-    /// `cur[cur_pos]` is the global minimum, so `peek_time` is O(1).
+    /// The staged level-0 bucket, sorted by `(at, seq)` and consumed from
+    /// `cur_pos`.
     cur: Vec<Scheduled>,
     cur_pos: usize,
+    /// Events scheduled at or before `now_tick`. Invariant: whenever
+    /// `len > 0`, the earlier of `cur[cur_pos]` and the head of `merged`
+    /// is the global minimum, so `peek_time` is O(1).
+    merged: MergeBuffer,
     len: usize,
     next_seq: u64,
     processed: u64,
@@ -193,6 +305,7 @@ impl Scheduler {
             now_tick: 0,
             cur: Vec::new(),
             cur_pos: 0,
+            merged: MergeBuffer::default(),
             len: 0,
             next_seq: 0,
             processed: 0,
@@ -208,10 +321,10 @@ impl Scheduler {
         self.insert(Scheduled { at, seq, event });
         self.len += 1;
         self.stats.max_occupancy = self.stats.max_occupancy.max(self.len as u64);
-        // Keep the drain buffer settled: if the new event went into the
-        // wheel while nothing was staged, pull the earliest bucket now so
+        // Keep a head ready: if the new event went into the wheel while
+        // nothing was pending outside it, stage the earliest bucket now so
         // `peek_time` stays O(1).
-        if self.cur_pos >= self.cur.len() {
+        if self.drained() {
             self.cur.clear();
             self.cur_pos = 0;
             let advanced = self.advance();
@@ -221,15 +334,25 @@ impl Scheduler {
 
     /// Time of the next event without removing it.
     pub fn peek_time(&self) -> Option<Time> {
-        self.cur.get(self.cur_pos).map(|s| s.at)
+        if self.len == 0 {
+            return None;
+        }
+        let key = self.staged_key().min(self.merged.peek_key());
+        Some((key >> 64) as Time)
     }
 
     /// Remove and return the next `(time, event)`.
     pub fn pop(&mut self) -> Option<(Time, Event)> {
-        let s = *self.cur.get(self.cur_pos)?;
-        self.cur_pos += 1;
+        let s = match self.merged.pop_before(self.staged_key()) {
+            Some(s) => s,
+            None => {
+                let s = *self.cur.get(self.cur_pos)?;
+                self.cur_pos += 1;
+                s
+            }
+        };
         self.len -= 1;
-        if self.cur_pos >= self.cur.len() {
+        if self.drained() {
             self.cur.clear();
             self.cur_pos = 0;
             if self.len > 0 {
@@ -272,17 +395,25 @@ impl Scheduler {
         self.stats
     }
 
-    /// File one event into the wheel, or merge it into the sorted drain
-    /// buffer when it is due at or before the wheel's current position.
+    /// Key of the staged bucket's next event, or `u128::MAX` when drained.
+    fn staged_key(&self) -> u128 {
+        self.cur.get(self.cur_pos).map_or(u128::MAX, Scheduled::key)
+    }
+
+    /// True when neither the staged bucket nor the merge buffer holds an
+    /// event, i.e. the wheel must stage its next bucket.
+    fn drained(&self) -> bool {
+        self.cur_pos >= self.cur.len() && self.merged.is_empty()
+    }
+
+    /// File one event into the wheel, or into the merge buffer when it is
+    /// due at or before the wheel's current position.
     fn insert(&mut self, s: Scheduled) {
         let tick = s.at >> TICK_BITS;
         if tick <= self.now_tick {
-            // Current bucket (already staged) or the past: merge into the
-            // pending tail of `cur`, preserving (at, seq) order exactly as
-            // a heap would.
-            let tail = &self.cur[self.cur_pos..];
-            let pos = tail.partition_point(|p| (p.at, p.seq) < (s.at, s.seq));
-            self.cur.insert(self.cur_pos + pos, s);
+            // Staged tick or the past: the merge buffer keeps (at, seq)
+            // order against the staged bucket exactly as a heap would.
+            self.merged.push(s);
             return;
         }
         // Lowest ring whose resolution separates `tick` from `now_tick`:
@@ -298,7 +429,7 @@ impl Scheduler {
     /// down as needed. Returns `false` only when the wheel is empty.
     fn advance(&mut self) -> bool {
         loop {
-            if self.cur_pos < self.cur.len() {
+            if !self.drained() {
                 return true;
             }
             // The lowest non-empty ring holds the earliest events: ring
@@ -310,17 +441,17 @@ impl Scheduler {
             self.occupied[level][slot / 64] &= !(1 << (slot % 64));
             let idx = level * SLOTS + slot;
             if level == 0 {
-                // Stage the bucket: swap recycles the old drain buffer's
-                // capacity into the emptied bucket.
+                // Stage the bucket: swap recycles the drained staging
+                // buffer's capacity into the emptied bucket.
                 self.now_tick = (self.now_tick >> SLOT_BITS << SLOT_BITS) | slot as u64;
                 std::mem::swap(&mut self.cur, &mut self.buckets[idx]);
-                self.cur.sort_unstable_by_key(|s: &Scheduled| (s.at, s.seq));
+                self.cur.sort_unstable_by_key(Scheduled::key);
                 self.cur_pos = 0;
                 return true;
             }
             // Cascade: move the wheel position to the start of this
             // bucket's span and re-file its events one ring down (or into
-            // `cur` when they land exactly on the new position).
+            // `merged` when they land exactly on the new position).
             let shift = SLOT_BITS * level as u32;
             self.now_tick = (self.now_tick >> (shift + SLOT_BITS) << (shift + SLOT_BITS))
                 | ((slot as u64) << shift);
@@ -510,6 +641,69 @@ mod tests {
             "far-horizon events must traverse the ring hierarchy"
         );
         assert_eq!(s.stats().max_occupancy, times.len() as u64);
+    }
+
+    fn drain_capacity(s: &Scheduler) -> usize {
+        s.cur.capacity() + s.merged.run.capacity() + s.merged.overflow.capacity()
+    }
+
+    #[test]
+    fn merges_ahead_of_a_far_staged_bucket_keep_drain_storage_small() {
+        // A MAC timer 1 s out gets staged as soon as the queue drains to
+        // it; every event scheduled before it then takes the merge path.
+        // Popped merged events must not linger: the drain storage stays
+        // the size of the live set, not of everything popped so far.
+        const ANCHOR: u64 = 1_000_000_000;
+        let mut s = Scheduler::new();
+        s.schedule(ANCHOR, timer(0, 0));
+        s.schedule(1_000, timer(1, 1));
+        for i in 0..100_000u64 {
+            let (t, _) = s.pop().unwrap();
+            assert!(t < ANCHOR);
+            s.schedule(t + 1_000, timer(1, i + 2));
+            assert!(
+                drain_capacity(&s) < 64,
+                "drain storage grew to {} after {i} cycles",
+                drain_capacity(&s)
+            );
+        }
+        assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn deep_merge_sets_stay_exact_and_bounded_by_the_live_set() {
+        // Keep `live` events pending ahead of a far staged timer; each pop
+        // schedules one at a pseudo-random offset, so merges land anywhere
+        // in the set and fill both the sorted run and the overflow heap.
+        const ANCHOR: u64 = 1_000_000_000;
+        for live in [2u64, 8, 200] {
+            let mut s = Scheduler::new();
+            s.schedule(ANCHOR, timer(0, 0));
+            for k in 0..live {
+                s.schedule(1_000 * (k + 1), timer(1, k));
+            }
+            let mut last = (0, 0);
+            let mut x = 1u64;
+            for i in 0..100_000u64 {
+                let (t, ev) = s.pop().unwrap();
+                let Event::Timer { token, .. } = ev else {
+                    unreachable!()
+                };
+                assert!(t < ANCHOR);
+                assert!((t, token) > last || i == 0, "order violated at {i}");
+                last = (t, token);
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                s.schedule(t + (x >> 33) % (1_000 * live), timer(1, live + i));
+                assert!(
+                    drain_capacity(&s) < 8 * live as usize + 64,
+                    "drain storage grew to {} with {live} live",
+                    drain_capacity(&s)
+                );
+            }
+            assert_eq!(s.len() as u64, live + 1);
+        }
     }
 
     #[test]
