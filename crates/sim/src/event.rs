@@ -25,7 +25,12 @@
 //! drains, so its position can run a whole MAC timer period (milliseconds
 //! to a second) ahead of simulated time, and everything handlers schedule
 //! before that staged tick takes the merge path. The merge buffer is
-//! therefore built to stay cheap however deep it gets: see [`MergeBuffer`].
+//! therefore a `(time, seq)` min-heap: a merge costs O(log m) however many
+//! events wait ahead of a far staged timer (thousands, in a city-scale
+//! CMAP run), and it holds only events that have not popped.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::time::Time;
 use crate::world::NodeId;
@@ -91,7 +96,7 @@ impl Event {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct Scheduled {
     at: Time,
     seq: u64,
@@ -105,99 +110,25 @@ impl Scheduled {
     }
 }
 
-/// An overflow-heap entry, ordered so that `BinaryHeap`'s maximum is the
-/// earliest `(at, seq)`. `seq` is unique, so the key alone decides equality.
-#[derive(Debug, Clone, Copy)]
-struct Overflow(Scheduled);
-
-impl PartialEq for Overflow {
-    fn eq(&self, other: &Overflow) -> bool {
-        self.0.key() == other.0.key()
+// Ordered by `(at, seq)` alone; `seq` is unique, so the key decides
+// equality too.
+impl PartialEq for Scheduled {
+    fn eq(&self, other: &Scheduled) -> bool {
+        self.key() == other.key()
     }
 }
 
-impl Eq for Overflow {}
+impl Eq for Scheduled {}
 
-impl PartialOrd for Overflow {
-    fn partial_cmp(&self, other: &Overflow) -> Option<std::cmp::Ordering> {
+impl PartialOrd for Scheduled {
+    fn partial_cmp(&self, other: &Scheduled) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Overflow {
-    fn cmp(&self, other: &Overflow) -> std::cmp::Ordering {
-        other.0.key().cmp(&self.0.key())
-    }
-}
-
-/// Deepest a merge may land in the sorted run, counted from its tail;
-/// deeper merges go to the overflow heap. Bounds a merge's move to 2 KiB.
-const RUN_SLACK: usize = 64;
-/// The run drops its popped prefix once that holds this many entries and
-/// no fewer than the live part (amortized O(1) per pop); it also empties
-/// whenever it drains.
-const RUN_DEAD_MAX: usize = 32;
-
-/// Events scheduled at or before the wheel's staged tick, in `(at, seq)`
-/// order.
-///
-/// Handlers mostly schedule at or near the latest time already pending
-/// (a frame's end after its start), so most merges land within a few
-/// entries of the tail of a sorted run, and pops take its head in O(1). A
-/// merge that would land more than [`RUN_SLACK`] entries from the tail
-/// goes to an overflow heap instead. Every merge therefore costs O(log m)
-/// compares plus a bounded move, however many events wait ahead of a far
-/// staged timer (thousands, in a city-scale CMAP run).
-#[derive(Debug, Default)]
-struct MergeBuffer {
-    /// Sorted; entries before `head` have popped.
-    run: Vec<Scheduled>,
-    head: usize,
-    overflow: std::collections::BinaryHeap<Overflow>,
-}
-
-impl MergeBuffer {
-    fn is_empty(&self) -> bool {
-        self.head == self.run.len() && self.overflow.is_empty()
-    }
-
-    /// Key of the earliest event, or `u128::MAX` when empty (no event has
-    /// that key: it would need `seq == u64::MAX`).
-    fn peek_key(&self) -> u128 {
-        let run = self.run.get(self.head).map_or(u128::MAX, Scheduled::key);
-        self.overflow.peek().map_or(run, |o| run.min(o.0.key()))
-    }
-
-    fn push(&mut self, s: Scheduled) {
-        if self.head >= RUN_DEAD_MAX && self.head * 2 >= self.run.len() {
-            self.run.drain(..self.head);
-            self.head = 0;
-        }
-        let key = s.key();
-        let pos = self.head + self.run[self.head..].partition_point(|p| p.key() < key);
-        if self.run.len() - pos <= RUN_SLACK {
-            self.run.insert(pos, s);
-        } else {
-            self.overflow.push(Overflow(s));
-        }
-    }
-
-    /// Remove the earliest event if its key is below `bound`.
-    fn pop_before(&mut self, bound: u128) -> Option<Scheduled> {
-        let run = self.run.get(self.head).map_or(u128::MAX, Scheduled::key);
-        match self.overflow.peek() {
-            Some(o) if o.0.key() < run.min(bound) => self.overflow.pop().map(|o| o.0),
-            _ if run < bound => {
-                let s = self.run[self.head];
-                self.head += 1;
-                if self.head == self.run.len() {
-                    self.run.clear();
-                    self.head = 0;
-                }
-                Some(s)
-            }
-            _ => None,
-        }
+impl Ord for Scheduled {
+    fn cmp(&self, other: &Scheduled) -> std::cmp::Ordering {
+        self.key().cmp(&other.key())
     }
 }
 
@@ -240,10 +171,11 @@ pub struct Scheduler {
     /// `cur_pos`.
     cur: Vec<Scheduled>,
     cur_pos: usize,
-    /// Events scheduled at or before `now_tick`. Invariant: whenever
-    /// `len > 0`, the earlier of `cur[cur_pos]` and the head of `merged`
-    /// is the global minimum, so `peek_time` is O(1).
-    merged: MergeBuffer,
+    /// Events scheduled at or before `now_tick`, min-ordered on
+    /// `(at, seq)`. Invariant: whenever `len > 0`, the earlier of
+    /// `cur[cur_pos]` and the head of `merged` is the global minimum, so
+    /// `peek_time` is O(1).
+    merged: BinaryHeap<Reverse<Scheduled>>,
     len: usize,
     next_seq: u64,
     processed: u64,
@@ -305,7 +237,7 @@ impl Scheduler {
             now_tick: 0,
             cur: Vec::new(),
             cur_pos: 0,
-            merged: MergeBuffer::default(),
+            merged: BinaryHeap::new(),
             len: 0,
             next_seq: 0,
             processed: 0,
@@ -337,15 +269,18 @@ impl Scheduler {
         if self.len == 0 {
             return None;
         }
-        let key = self.staged_key().min(self.merged.peek_key());
+        let key = match self.merged.peek() {
+            Some(Reverse(m)) => self.staged_key().min(m.key()),
+            None => self.staged_key(),
+        };
         Some((key >> 64) as Time)
     }
 
     /// Remove and return the next `(time, event)`.
     pub fn pop(&mut self) -> Option<(Time, Event)> {
-        let s = match self.merged.pop_before(self.staged_key()) {
-            Some(s) => s,
-            None => {
+        let s = match self.merged.peek() {
+            Some(Reverse(m)) if m.key() < self.staged_key() => self.merged.pop()?.0,
+            _ => {
                 let s = *self.cur.get(self.cur_pos)?;
                 self.cur_pos += 1;
                 s
@@ -411,9 +346,10 @@ impl Scheduler {
     fn insert(&mut self, s: Scheduled) {
         let tick = s.at >> TICK_BITS;
         if tick <= self.now_tick {
-            // Staged tick or the past: the merge buffer keeps (at, seq)
-            // order against the staged bucket exactly as a heap would.
-            self.merged.push(s);
+            // Staged tick or the past: the merge heap keeps (at, seq)
+            // order against the staged bucket exactly as a heap alone
+            // would.
+            self.merged.push(Reverse(s));
             return;
         }
         // Lowest ring whose resolution separates `tick` from `now_tick`:
@@ -644,7 +580,7 @@ mod tests {
     }
 
     fn drain_capacity(s: &Scheduler) -> usize {
-        s.cur.capacity() + s.merged.run.capacity() + s.merged.overflow.capacity()
+        s.cur.capacity() + s.merged.capacity()
     }
 
     #[test]
@@ -674,7 +610,7 @@ mod tests {
     fn deep_merge_sets_stay_exact_and_bounded_by_the_live_set() {
         // Keep `live` events pending ahead of a far staged timer; each pop
         // schedules one at a pseudo-random offset, so merges land anywhere
-        // in the set and fill both the sorted run and the overflow heap.
+        // in the set, not just at its tail.
         const ANCHOR: u64 = 1_000_000_000;
         for live in [2u64, 8, 200] {
             let mut s = Scheduler::new();
