@@ -356,8 +356,10 @@ impl Pool {
             // synchronization that made small-job batches slower under
             // `--jobs 2` than serial: one cursor RMW and one `Instant` pair
             // per chunk, and exactly one channel send per worker instead of
-            // one per job. The receive side slots results by index, which
-            // is what makes the join deterministic.
+            // one per job. Claims shrink as the batch drains (see
+            // [`claim_size`]) so the last jobs spread across workers. The
+            // receive side slots results by index, which is what makes the
+            // join deterministic.
             let chunk = chunk_size(items.len(), workers);
             let cursor = AtomicUsize::new(0);
             let (tx, rx) = mpsc::channel::<Vec<(usize, Result<R, String>)>>();
@@ -368,12 +370,7 @@ impl Pool {
                     let tx = tx.clone();
                     scope.spawn(move || {
                         let mut local: Vec<(usize, Result<R, String>)> = Vec::new();
-                        loop {
-                            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                            if start >= items.len() {
-                                break;
-                            }
-                            let end = (start + chunk).min(items.len());
+                        while let Some((start, end)) = claim(cursor, items.len(), workers, chunk) {
                             // cmap-lint: allow(wall-clock) — harness-side pool busy metering, timing-scoped only
                             let t0 = std::time::Instant::now();
                             for (i, item) in items[start..end].iter().enumerate() {
@@ -435,11 +432,35 @@ impl Pool {
     }
 }
 
-/// Contiguous indices claimed per cursor bump. 8 chunks per worker keeps
-/// claims coarse enough to amortize synchronization while still letting a
-/// straggler-heavy tail rebalance across workers.
+/// The most contiguous indices one cursor claim takes. 8 chunks per worker
+/// keeps claims coarse enough to amortize synchronization.
 fn chunk_size(len: usize, workers: usize) -> usize {
     (len / (workers * 8)).max(1)
+}
+
+/// Jobs the next claim takes once `start` of `len` are claimed: half of an
+/// even per-worker share of what remains, between 1 and `cap`. Claims stay
+/// at `cap` while the batch is large, then shrink, and the batch ends in
+/// single-job claims, so no worker is left holding several jobs while the
+/// others idle. Never more than the `len - start` jobs left.
+fn claim_size(len: usize, start: usize, workers: usize, cap: usize) -> usize {
+    ((len - start) / (2 * workers)).clamp(1, cap)
+}
+
+/// Claim the next `start..end` range from the shared cursor, or `None` once
+/// every job is claimed.
+fn claim(cursor: &AtomicUsize, len: usize, workers: usize, cap: usize) -> Option<(usize, usize)> {
+    let mut start = cursor.load(Ordering::Relaxed);
+    loop {
+        if start >= len {
+            return None;
+        }
+        let end = start + claim_size(len, start, workers, cap);
+        match cursor.compare_exchange_weak(start, end, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => return Some((start, end)),
+            Err(now) => start = now,
+        }
+    }
 }
 
 // cmap-lint: allow(wall-clock) — harness-side pool busy metering, timing-scoped only
@@ -651,6 +672,34 @@ mod tests {
         // Small batches: never below one job per claim.
         assert_eq!(chunk_size(3, 2), 1);
         assert_eq!(chunk_size(1, 8), 1);
+    }
+
+    #[test]
+    fn claims_shrink_to_single_jobs_and_cover_the_batch_once() {
+        for workers in [2usize, 3, 8] {
+            for len in [1usize, 2, 7, 16, 64, 100, 1000] {
+                let cap = chunk_size(len, workers);
+                let cursor = AtomicUsize::new(0);
+                let mut sizes = Vec::new();
+                let mut next = 0;
+                while let Some((start, end)) = claim(&cursor, len, workers, cap) {
+                    assert_eq!(start, next, "workers={workers} len={len}");
+                    next = end;
+                    sizes.push(end - start);
+                }
+                let ctx = format!("workers={workers} len={len} sizes={sizes:?}");
+                assert_eq!(next, len, "{ctx}");
+                assert!(sizes.iter().all(|&s| (1..=cap).contains(&s)), "{ctx}");
+                assert!(sizes.windows(2).all(|w| w[1] <= w[0]), "{ctx}");
+                // The last 2·workers claims take one job each.
+                let tail = sizes.len().min(2 * workers);
+                assert!(sizes[sizes.len() - tail..].iter().all(|&s| s == 1), "{ctx}");
+            }
+        }
+        // The benchmark's testbed batch: 64 runs on 2 workers start at the
+        // cap of 4 and finish on single runs.
+        assert_eq!(claim_size(64, 0, 2, 4), 4);
+        assert_eq!(claim_size(64, 60, 2, 4), 1);
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! Radio/PHY configuration shared by every node in a world.
 
+use cmap_phy::dbm_to_mw;
+use cmap_phy::units::db_to_ratio;
+
 /// Physical-layer configuration for a simulated world.
 ///
 /// Defaults are calibrated to a commodity 5 GHz 802.11a card (Atheros
@@ -86,6 +89,47 @@ impl PhyConfig {
     pub fn noise_mw(&self) -> f64 {
         cmap_phy::dbm_to_mw(self.noise_floor_dbm)
     }
+
+    /// The linear-unit view the reception hot path reads, resolved once.
+    pub(crate) fn levels(&self) -> PhyLevels {
+        PhyLevels {
+            noise_mw: self.noise_mw(),
+            sensitivity_mw: dbm_to_mw(self.sensitivity_dbm),
+            cca_busy_mw: dbm_to_mw(self.cs_detect_dbm.min(self.ed_threshold_dbm)),
+            capture_ratio: db_to_ratio(self.capture_margin_db),
+            mim_ratio: db_to_ratio(self.mim_margin_db),
+            preamble_capture: self.preamble_capture,
+            mim_capture: self.mim_capture,
+        }
+    }
+}
+
+/// A world's [`PhyConfig`] thresholds and margins in linear units: what the
+/// per-arrival lock decision, carrier sense and grading compare against.
+///
+/// The config is fixed once a world is built, so the engine converts its
+/// dBm fields here, once, instead of calling `powf` on every event. Each
+/// field is the direct `dbm_to_mw`/`db_to_ratio` conversion of its config
+/// field, so every comparison sees the same bits as converting at each use.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PhyLevels {
+    /// Noise floor in mW.
+    pub noise_mw: f64,
+    /// Minimum RSS for an idle radio to attempt preamble lock, in mW.
+    pub sensitivity_mw: f64,
+    /// In-band energy at or above which CCA reads busy, in mW: the lower of
+    /// the preamble-detect and energy-detect thresholds.
+    pub cca_busy_mw: f64,
+    /// Power ratio a frame needs over the locked one to capture it while
+    /// the lock is still in its preamble window.
+    pub capture_ratio: f64,
+    /// Power ratio a frame needs over the locked one to capture it after
+    /// the preamble window (message-in-message).
+    pub mim_ratio: f64,
+    /// [`PhyConfig::preamble_capture`].
+    pub preamble_capture: bool,
+    /// [`PhyConfig::mim_capture`].
+    pub mim_capture: bool,
 }
 
 #[cfg(test)]
@@ -101,5 +145,39 @@ mod tests {
         assert!(c.delivery_floor_dbm < c.cs_detect_dbm);
         assert!(c.noise_floor_dbm < c.sensitivity_dbm + 5.0);
         assert!(c.capture_margin_db > 0.0);
+    }
+
+    /// Every level is bit-equal to the direct conversion of the config it
+    /// came from — the default and one with every dBm/dB field moved.
+    #[test]
+    fn levels_are_the_configs_own_conversions() {
+        let moved = PhyConfig {
+            noise_floor_dbm: -91.5,
+            sensitivity_dbm: -70.0,
+            ed_threshold_dbm: -101.0,
+            cs_detect_dbm: -85.0,
+            capture_margin_db: 4.5,
+            mim_margin_db: 13.0,
+            preamble_capture: false,
+            mim_capture: false,
+            ..PhyConfig::default()
+        };
+        for c in [PhyConfig::default(), moved] {
+            let l = c.levels();
+            let bits = |x: f64| x.to_bits();
+            assert_eq!(bits(l.noise_mw), bits(dbm_to_mw(c.noise_floor_dbm)));
+            assert_eq!(bits(l.sensitivity_mw), bits(dbm_to_mw(c.sensitivity_dbm)));
+            assert_eq!(
+                bits(l.cca_busy_mw),
+                bits(dbm_to_mw(c.cs_detect_dbm.min(c.ed_threshold_dbm)))
+            );
+            assert_eq!(
+                bits(l.capture_ratio),
+                bits(db_to_ratio(c.capture_margin_db))
+            );
+            assert_eq!(bits(l.mim_ratio), bits(db_to_ratio(c.mim_margin_db)));
+            assert_eq!(l.preamble_capture, c.preamble_capture);
+            assert_eq!(l.mim_capture, c.mim_capture);
+        }
     }
 }

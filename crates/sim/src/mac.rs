@@ -22,8 +22,6 @@ use cmap_wire::{Frame, FrameView, MacAddr};
 /// Metadata for a successfully decoded frame.
 #[derive(Debug, Clone, Copy)]
 pub struct RxInfo {
-    /// Received signal strength (post-fading) in dBm.
-    pub rss_dbm: f64,
     /// When the radio locked onto the frame.
     pub start: Time,
     /// When the frame ended (== now in the callback).
@@ -40,8 +38,6 @@ pub struct RxErrorInfo {
     pub start: Time,
     /// When it ended.
     pub end: Time,
-    /// Its received signal strength in dBm.
-    pub rss_dbm: f64,
 }
 
 /// A link-layer protocol instance at one node.

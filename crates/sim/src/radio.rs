@@ -38,10 +38,10 @@
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::config::PhyConfig;
+use crate::config::PhyLevels;
 use crate::event::TxId;
 use crate::time::Time;
-use cmap_phy::{dbm_to_mw, preamble_success_prob, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
+use cmap_phy::{preamble_success_prob, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
 
 /// Coarse radio state exposed to MACs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,9 +210,8 @@ impl RadioBank {
     /// A disabled radio also reads busy: a wedged front-end cannot report
     /// a clear channel, and the busy -> idle edge at recovery is what
     /// wakes carrier-waiting MACs back up.
-    pub fn busy(&self, node: usize, phy: &PhyConfig) -> bool {
-        self.state[node] & flag::ANY_BUSY != 0
-            || self.energy_total[node] >= dbm_to_mw(phy.cs_detect_dbm.min(phy.ed_threshold_dbm))
+    pub fn busy(&self, node: usize, levels: &PhyLevels) -> bool {
+        self.state[node] & flag::ANY_BUSY != 0 || self.energy_total[node] >= levels.cca_busy_mw
     }
 
     /// The cached busy flag for edge-triggered carrier notifications.
@@ -292,7 +291,7 @@ impl RadioBank {
         tx_id: TxId,
         power_mw: f64,
         now: Time,
-        phy: &PhyConfig,
+        levels: &PhyLevels,
         rng: &mut SmallRng,
     ) -> LockOutcome {
         if self.is_disabled(node) {
@@ -300,7 +299,7 @@ impl RadioBank {
             // finds nothing to remove).
             return LockOutcome::Interference;
         }
-        let noise = phy.noise_mw();
+        let noise = levels.noise_mw;
         // Interference the new frame would see: everything already here.
         let interference_for_new = self.energy_total[node];
         self.incoming[node].push(Incoming { tx_id, power_mw });
@@ -316,7 +315,7 @@ impl RadioBank {
             .map(|l| (l.lock_time, l.signal_mw, l.tx_id))
         else {
             // Idle: attempt to lock the new frame.
-            if power_mw >= dbm_to_mw(phy.sensitivity_dbm) {
+            if power_mw >= levels.sensitivity_mw {
                 let sinr = power_mw / (noise + interference_for_new);
                 if rng.gen_bool(preamble_success_prob(sinr).clamp(0.0, 1.0)) {
                     let interference = self.fresh_profile(node, now, interference_for_new);
@@ -337,11 +336,9 @@ impl RadioBank {
 
         let in_preamble = now < lock_time + preamble_window;
         let capture_allowed = if in_preamble {
-            phy.preamble_capture
-                && power_mw > lock_signal * cmap_phy::units::db_to_ratio(phy.capture_margin_db)
+            levels.preamble_capture && power_mw > lock_signal * levels.capture_ratio
         } else {
-            phy.mim_capture
-                && power_mw > lock_signal * cmap_phy::units::db_to_ratio(phy.mim_margin_db)
+            levels.mim_capture && power_mw > lock_signal * levels.mim_ratio
         };
         if capture_allowed {
             // The displaced frame keeps radiating: it is interference for
@@ -443,10 +440,12 @@ impl RadioBank {
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
+    use crate::config::PhyConfig;
     use crate::rng::stream_rng;
+    use cmap_phy::dbm_to_mw;
 
-    fn phy() -> PhyConfig {
-        PhyConfig::default()
+    fn levels() -> PhyLevels {
+        PhyConfig::default().levels()
     }
 
     fn mw(dbm: f64) -> f64 {
@@ -462,7 +461,7 @@ mod tests {
     fn strong_lone_frame_locks() {
         let mut r = bank();
         let mut rng = stream_rng(1, 1);
-        let out = r.frame_start(0, 1, mw(-60.0), 0, &phy(), &mut rng);
+        let out = r.frame_start(0, 1, mw(-60.0), 0, &levels(), &mut rng);
         assert_eq!(out, LockOutcome::Locked);
         assert_eq!(r.phase(0), RadioPhase::Receiving);
         let done = r.frame_end(0, 1, 1000).expect("completion");
@@ -474,7 +473,7 @@ mod tests {
     fn frame_below_sensitivity_never_locks() {
         let mut r = bank();
         let mut rng = stream_rng(1, 2);
-        let out = r.frame_start(0, 1, mw(-100.0), 0, &phy(), &mut rng);
+        let out = r.frame_start(0, 1, mw(-100.0), 0, &levels(), &mut rng);
         assert_eq!(out, LockOutcome::Interference);
         assert!(r.frame_end(0, 1, 1000).is_none());
     }
@@ -484,12 +483,12 @@ mod tests {
         let mut r = bank();
         let mut rng = stream_rng(1, 3);
         assert_eq!(
-            r.frame_start(0, 1, mw(-60.0), 0, &phy(), &mut rng),
+            r.frame_start(0, 1, mw(-60.0), 0, &levels(), &mut rng),
             LockOutcome::Locked
         );
         // Weak late frame: interference, logged in the profile.
         assert_eq!(
-            r.frame_start(0, 2, mw(-80.0), 50_000, &phy(), &mut rng),
+            r.frame_start(0, 2, mw(-80.0), 50_000, &levels(), &mut rng),
             LockOutcome::Interference
         );
         let _ = r.frame_end(0, 2, 60_000);
@@ -506,11 +505,11 @@ mod tests {
         let mut r = bank();
         let mut rng = stream_rng(1, 4);
         assert_eq!(
-            r.frame_start(0, 1, mw(-80.0), 0, &phy(), &mut rng),
+            r.frame_start(0, 1, mw(-80.0), 0, &levels(), &mut rng),
             LockOutcome::Locked
         );
         // 15 dB stronger frame inside the 20 us preamble window.
-        let out = r.frame_start(0, 2, mw(-65.0), 10_000, &phy(), &mut rng);
+        let out = r.frame_start(0, 2, mw(-65.0), 10_000, &levels(), &mut rng);
         assert_eq!(out, LockOutcome::Captured { displaced: 1 });
         assert!(r.locked_on(0, 2));
         // Frame 1 ending is now mere interference relief.
@@ -523,18 +522,18 @@ mod tests {
         let mut r = bank();
         let mut rng = stream_rng(1, 5);
         assert_eq!(
-            r.frame_start(0, 1, mw(-80.0), 0, &phy(), &mut rng),
+            r.frame_start(0, 1, mw(-80.0), 0, &levels(), &mut rng),
             LockOutcome::Locked
         );
         // 25 dB stronger frame arriving mid-payload restarts reception.
-        let out = r.frame_start(0, 2, mw(-55.0), 30_000, &phy(), &mut rng);
+        let out = r.frame_start(0, 2, mw(-55.0), 30_000, &levels(), &mut rng);
         assert_eq!(out, LockOutcome::Captured { displaced: 1 });
         assert!(r.locked_on(0, 2));
     }
 
     #[test]
     fn no_mim_capture_when_disabled() {
-        let mut cfg = phy();
+        let mut cfg = levels();
         cfg.mim_capture = false;
         let mut r = bank();
         let mut rng = stream_rng(1, 5);
@@ -552,18 +551,18 @@ mod tests {
         let mut r = bank();
         let mut rng = stream_rng(1, 15);
         assert_eq!(
-            r.frame_start(0, 1, mw(-60.0), 0, &phy(), &mut rng),
+            r.frame_start(0, 1, mw(-60.0), 0, &levels(), &mut rng),
             LockOutcome::Locked
         );
         // Only 5 dB stronger: below the 10 dB MIM margin.
-        let out = r.frame_start(0, 2, mw(-55.0), 30_000, &phy(), &mut rng);
+        let out = r.frame_start(0, 2, mw(-55.0), 30_000, &levels(), &mut rng);
         assert_eq!(out, LockOutcome::Interference);
         assert!(r.locked_on(0, 1));
     }
 
     #[test]
     fn capture_disabled_by_config() {
-        let mut cfg = phy();
+        let mut cfg = levels();
         cfg.preamble_capture = false;
         let mut r = bank();
         let mut rng = stream_rng(1, 6);
@@ -584,7 +583,7 @@ mod tests {
         assert!(r.begin_tx(0, 99));
         assert_eq!(r.phase(0), RadioPhase::Transmitting);
         assert_eq!(
-            r.frame_start(0, 1, mw(-50.0), 0, &phy(), &mut rng),
+            r.frame_start(0, 1, mw(-50.0), 0, &levels(), &mut rng),
             LockOutcome::Interference
         );
         r.end_tx(0);
@@ -598,7 +597,7 @@ mod tests {
         let mut r = bank();
         let mut rng = stream_rng(1, 8);
         assert_eq!(
-            r.frame_start(0, 1, mw(-60.0), 0, &phy(), &mut rng),
+            r.frame_start(0, 1, mw(-60.0), 0, &levels(), &mut rng),
             LockOutcome::Locked
         );
         assert!(r.begin_tx(0, 50));
@@ -613,11 +612,11 @@ mod tests {
         let mut r = bank();
         let mut rng = stream_rng(1, 20);
         assert_eq!(
-            r.frame_start(0, 1, mw(-80.0), 0, &phy(), &mut rng),
+            r.frame_start(0, 1, mw(-80.0), 0, &levels(), &mut rng),
             LockOutcome::Locked
         );
         assert_eq!(
-            r.frame_start(0, 2, mw(-55.0), 40_000, &phy(), &mut rng),
+            r.frame_start(0, 2, mw(-55.0), 40_000, &levels(), &mut rng),
             LockOutcome::Captured { displaced: 1 }
         );
         // Frame 1 ends mid-way through frame 2's reception.
@@ -634,8 +633,8 @@ mod tests {
     fn energy_sums_and_excludes() {
         let mut r = bank();
         let mut rng = stream_rng(1, 21);
-        r.frame_start(0, 1, mw(-70.0), 0, &phy(), &mut rng);
-        r.frame_start(0, 2, mw(-70.0), 10, &phy(), &mut rng);
+        r.frame_start(0, 1, mw(-70.0), 0, &levels(), &mut rng);
+        r.frame_start(0, 2, mw(-70.0), 10, &levels(), &mut rng);
         let total = r.energy_mw(0, None);
         assert!((total - 2.0 * mw(-70.0)).abs() < 1e-15);
         assert!((r.energy_mw(0, Some(1)) - mw(-70.0)).abs() < 1e-15);
@@ -653,7 +652,7 @@ mod tests {
         let mut r = bank();
         let mut rng = stream_rng(1, 23);
         for (id, dbm) in [(1u64, -63.0), (2, -71.0), (3, -88.0)] {
-            r.frame_start(0, id, mw(dbm), id, &phy(), &mut rng);
+            r.frame_start(0, id, mw(dbm), id, &levels(), &mut rng);
         }
         r.frame_end(0, 2, 100);
         let expect: f64 = r.energy_mw(0, Some(u64::MAX));
@@ -661,7 +660,7 @@ mod tests {
         r.frame_end(0, 3, 101);
         r.frame_end(0, 1, 102);
         assert_eq!(r.energy_mw(0, None), 0.0);
-        assert!(!r.busy(0, &phy()));
+        assert!(!r.busy(0, &levels()));
     }
 
     #[test]
@@ -669,7 +668,7 @@ mod tests {
         let mut r = bank();
         let mut rng = stream_rng(1, 22);
         for tx in 0..3u64 {
-            r.frame_start(0, tx, mw(-60.0), tx, &phy(), &mut rng);
+            r.frame_start(0, tx, mw(-60.0), tx, &levels(), &mut rng);
             assert!(r.begin_tx(0, 100 + tx));
             assert!(r.end_tx(0));
             r.frame_end(0, tx, 50);
@@ -680,7 +679,7 @@ mod tests {
     #[test]
     fn power_off_drops_lock_and_deafens() {
         let mut r = bank();
-        let cfg = phy();
+        let cfg = levels();
         let mut rng = stream_rng(1, 30);
         assert_eq!(
             r.frame_start(0, 1, mw(-60.0), 0, &cfg, &mut rng),
@@ -709,7 +708,7 @@ mod tests {
         // SoA regression guard: state changes at one index never leak into
         // a neighbour's arrays.
         let mut r = RadioBank::new(3);
-        let cfg = phy();
+        let cfg = levels();
         let mut rng = stream_rng(1, 41);
         assert_eq!(
             r.frame_start(1, 7, mw(-60.0), 0, &cfg, &mut rng),
@@ -764,7 +763,7 @@ mod tests {
                 tx_at in 0u64..150_000,
                 seed in any::<u64>(),
             ) {
-                let cfg = phy();
+                let cfg = levels();
                 let mut rng = stream_rng(seed, 1);
                 let mut steps: Vec<(u64, u8, Step)> = Vec::new();
                 for (id, &(dbm, start, len)) in frames.iter().enumerate() {
@@ -824,12 +823,12 @@ mod tests {
         let mut r = bank();
         let mut rng = stream_rng(1, 40);
         assert_eq!(
-            r.frame_start(0, 1, mw(-60.0), 0, &phy(), &mut rng),
+            r.frame_start(0, 1, mw(-60.0), 0, &levels(), &mut rng),
             LockOutcome::Locked
         );
         // Grow the profile with some interference churn.
         for k in 0..8u64 {
-            r.frame_start(0, 10 + k, mw(-85.0), 100 + k, &phy(), &mut rng);
+            r.frame_start(0, 10 + k, mw(-85.0), 100 + k, &levels(), &mut rng);
             r.frame_end(0, 10 + k, 200 + k);
         }
         let done = r.frame_end(0, 1, 1000).unwrap();
@@ -839,7 +838,7 @@ mod tests {
         // The next lock starts from a clean single-entry profile but reuses
         // the parked capacity.
         assert_eq!(
-            r.frame_start(0, 2, mw(-60.0), 2000, &phy(), &mut rng),
+            r.frame_start(0, 2, mw(-60.0), 2000, &levels(), &mut rng),
             LockOutcome::Locked
         );
         let done2 = r.frame_end(0, 2, 3000).unwrap();
@@ -850,7 +849,7 @@ mod tests {
     #[test]
     fn busy_tracks_phase_and_energy() {
         let mut r = bank();
-        let cfg = phy();
+        let cfg = levels();
         let mut rng = stream_rng(1, 9);
         assert!(!r.busy(0, &cfg));
         // A strong but unlockable situation: transmitting + loud frame.

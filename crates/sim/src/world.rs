@@ -10,7 +10,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::app::NodeApp;
-use crate::config::PhyConfig;
+use crate::config::{PhyConfig, PhyLevels};
 use crate::event::{Event, Scheduler, TxId};
 use crate::faults::{FaultAction, FaultPlan, FaultState, WatchdogConfig};
 use crate::mac::{Mac, NodeCtx, NullMac, Op, RxErrorInfo, RxInfo};
@@ -22,7 +22,7 @@ use crate::stats::Stats;
 use crate::time::Time;
 use cmap_obs::{CounterId, GaugeId, TraceEvent, TraceSink};
 use cmap_phy::units::db_to_ratio;
-use cmap_phy::{mw_to_dbm, BerTable, Rate, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
+use cmap_phy::{BerTable, Rate, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
 use cmap_wire::{Frame, FrameKind, FrameView, MacAddr};
 
 pub use crate::node::NodeId;
@@ -59,6 +59,9 @@ pub struct Flow {
 /// A complete simulated network.
 pub struct World {
     phy: PhyConfig,
+    /// `phy` in linear units, resolved once at build: the reception and
+    /// carrier-sense hot path never converts dBm per event.
+    levels: PhyLevels,
     time: Time,
     sched: Scheduler,
     medium: Medium,
@@ -178,6 +181,7 @@ impl World {
     fn construct(medium: Medium, phy: PhyConfig, seed: u64) -> World {
         let n = medium.len();
         World {
+            levels: phy.levels(),
             phy,
             time: 0,
             sched: Scheduler::new(),
@@ -518,7 +522,7 @@ impl World {
                     tx_id,
                     power_mw,
                     self.time,
-                    &self.phy,
+                    &self.levels,
                     &mut self.rngs[rx.index()],
                 );
                 match outcome {
@@ -624,10 +628,15 @@ impl World {
     fn grade_and_deliver(&mut self, rx: NodeId, c: RxCompletion) {
         let rate = self.pool.rate_of(c.tx_id);
         let wire_len = self.pool.wire_len(c.tx_id);
-        let (p_success, lookups) =
-            grade_reception(&c, self.time, rate, wire_len, &self.phy, self.ber_table);
+        let (p_success, lookups) = grade_reception(
+            &c,
+            self.time,
+            rate,
+            wire_len,
+            self.levels.noise_mw,
+            self.ber_table,
+        );
         self.ber_lookups += lookups;
-        let rss_dbm = mw_to_dbm(c.signal_mw);
         let decoded = self.rngs[rx.index()].gen_bool(p_success.clamp(0.0, 1.0));
         // Fault injection: a decoded frame may be corrupted (CRC escape
         // caught late) or delivered twice (duplication). Draws come from a
@@ -644,7 +653,6 @@ impl World {
         if decoded && !corrupted {
             self.stats.bump(CounterId::SimRxOk);
             let info = RxInfo {
-                rss_dbm,
                 start: c.lock_time,
                 end: self.time,
                 rate,
@@ -672,7 +680,6 @@ impl World {
             let err = RxErrorInfo {
                 start: c.lock_time,
                 end: self.time,
-                rss_dbm,
             };
             self.dispatch(rx, |mac, ctx| mac.on_rx_error(ctx, err));
         }
@@ -700,7 +707,7 @@ impl World {
                 node,
                 now: self.time,
                 phase: self.radios.phase(node.index()),
-                busy: self.radios.busy(node.index(), &self.phy),
+                busy: self.radios.busy(node.index(), &self.levels),
                 mac_addr: MacAddr::from_node_index(node.index() as u16),
                 abort_rx_on_tx: self.phy.abort_rx_on_tx,
                 tx_requested: false,
@@ -787,7 +794,7 @@ impl World {
         // No notification for our own busy edge: the MAC knows it started
         // transmitting. Keep the cached flag consistent so the TxEnd edge
         // (busy -> idle) is seen.
-        let busy = self.radios.busy(node.index(), &self.phy);
+        let busy = self.radios.busy(node.index(), &self.levels);
         self.radios.set_last_busy(node.index(), busy);
 
         let end = self.time + airtime;
@@ -856,7 +863,7 @@ impl World {
     /// Fire `on_channel_state` edges until the node's CCA stabilises.
     fn check_channel_edge(&mut self, node: NodeId) {
         for _ in 0..4 {
-            let busy = self.radios.busy(node.index(), &self.phy);
+            let busy = self.radios.busy(node.index(), &self.levels);
             if busy == self.radios.last_busy(node.index()) {
                 break;
             }
@@ -891,7 +898,7 @@ fn grade_reception(
     frame_end: Time,
     rate: Rate,
     psdu_len: usize,
-    phy: &PhyConfig,
+    noise_mw: f64,
     table: &BerTable,
 ) -> (f64, u64) {
     let payload_start = c.lock_time + PLCP_PREAMBLE_NS + PLCP_SIG_NS;
@@ -901,7 +908,6 @@ fn grade_reception(
     let span = (frame_end - payload_start) as f64;
     let total_bits =
         (cmap_phy::rate::SERVICE_BITS + 8 * psdu_len as u64 + cmap_phy::rate::TAIL_BITS) as f64;
-    let noise = phy.noise_mw();
 
     let mut ln_p = 0.0_f64;
     let mut lookups = 0u64;
@@ -914,7 +920,7 @@ fn grade_reception(
             continue;
         }
         let bits = total_bits * (hi - lo) as f64 / span;
-        let sinr = c.signal_mw / (noise + level);
+        let sinr = c.signal_mw / (noise_mw + level);
         let ber = table.ber(sinr, rate);
         lookups += 1;
         ln_p += bits * (-ber).ln_1p();
@@ -1035,6 +1041,45 @@ mod tests {
         // The final frame may still be in flight when the clock stops.
         assert!(got >= sent - 1 && got <= sent, "{got} of {sent}");
         assert_eq!(w.stats().counter(CounterId::SimRxFail), 0);
+    }
+
+    /// The lock decision reads the world's own sensitivity, not a default:
+    /// a −80 dBm link locks at the default −95 dBm sensitivity and never
+    /// locks once sensitivity is raised to −70 dBm. Fading is off so the
+    /// link sits exactly at −80 dBm on every frame.
+    #[test]
+    fn sensitivity_comes_from_the_worlds_config() {
+        let run = |sensitivity_dbm: f64| {
+            let phy = PhyConfig {
+                sensitivity_dbm,
+                fading_sigma_db: 0.0,
+                fading_boost_prob: 0.0,
+                ..PhyConfig::default()
+            };
+            let medium = crate::medium::MediumBuilder::new(&phy)
+                .uniform(2, -80.0 - phy.tx_power_dbm)
+                .build();
+            let mut w = World::builder().medium(medium).phy(phy).seed(1).build();
+            w.add_flow(0, 1, 100);
+            w.set_mac(
+                0,
+                Box::new(Blaster {
+                    dst: MacAddr::from_node_index(1),
+                    period: millis(2),
+                    payload: 100,
+                    sent: 0,
+                }),
+            );
+            w.set_mac(1, Box::new(Sniffer::default()));
+            w.run_until(millis(200));
+            (
+                w.stats().counter(CounterId::SimLock),
+                w.stats().counter(CounterId::SimRxOk),
+            )
+        };
+        let (locks, ok) = run(PhyConfig::default().sensitivity_dbm);
+        assert!(locks > 50 && ok > 50, "default: {locks} locks, {ok} ok");
+        assert_eq!(run(-70.0), (0, 0));
     }
 
     #[test]
